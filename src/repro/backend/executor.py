@@ -39,8 +39,8 @@ from ..core.ops import PRIMS
 from ..core.values import Buckets
 from ..obs.provenance import FALLBACK, VECTORIZED, DecisionKind, emit
 from .vectorize import (ASSOC_UFUNCS, ArrVec, LoopVectorizer, Rows, StatsDelta,
-                        SVec, VecError, as_lane_vec, is_vec, plan_loop,
-                        recognize_assoc_prim, vec_take, vec_where)
+                        SVec, VecError, as_lane_vec, host_key, is_vec,
+                        plan_loop, recognize_assoc_prim, vec_take, vec_where)
 
 
 @dataclass
@@ -112,7 +112,8 @@ class NumpyInterp(Interp):
             w = int(lens.max()) if n else 0
             flat = np.asarray([x for r in seq for x in r]) if w else \
                 np.zeros(0)
-            if flat.dtype != object:
+            # struct rows give a 2-D array: not scalar rows either
+            if flat.dtype != object and flat.ndim == 1:
                 pad = np.zeros((n, w), dtype=flat.dtype)
                 if w:
                     pad[lens[:, None] > np.arange(w)] = flat
@@ -176,10 +177,6 @@ class NumpyInterp(Interp):
                 return [list(zip(*per_lane)) for per_lane in zip(*cols)]
         raise VecError(
             f"cannot convert {type(v).__name__} to host {tpe!r}")
-
-    @staticmethod
-    def _host_key(k: Any) -> Any:
-        return k.item() if isinstance(k, np.generic) else k
 
     # -- loop dispatch -----------------------------------------------------
 
@@ -261,6 +258,8 @@ class NumpyInterp(Interp):
                  idx: np.ndarray, shared_vals: Dict, probed: Dict,
                  need_memo: bool) -> Any:
         ckey, _ = sk
+        if vz.L == 0:  # an empty loop evaluates no block
+            return self._empty_result(g)
         mask: Optional[np.ndarray] = None
         if g.cond is not None:
             vz.add_ovh(BRANCH_CYCLES, None)
@@ -477,7 +476,7 @@ class NumpyInterp(Interp):
                    n: int) -> Tuple[np.ndarray, List[Any]]:
         """Dense first-seen-order codes + host key values."""
         if not is_vec(karr):
-            return np.zeros(n, dtype=np.int64), [self._host_key(karr)]
+            return np.zeros(n, dtype=np.int64), [host_key(karr)]
         if not isinstance(karr, np.ndarray):
             raise VecError("non-scalar bucket key")
         keys_a = karr[actives]
@@ -490,7 +489,7 @@ class NumpyInterp(Interp):
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
         codes = rank[inv.reshape(-1)]
-        uniq_keys = [self._host_key(uniq[o]) for o in order]
+        uniq_keys = [host_key(uniq[o]) for o in order]
         return codes, uniq_keys
 
 

@@ -128,6 +128,11 @@ def is_vec(v: Any) -> bool:
     return isinstance(v, (np.ndarray, SVec, ArrVec, Rows))
 
 
+def host_key(k: Any) -> Any:
+    """A bucket key as the plain Python value the interpreter would hold."""
+    return k.item() if isinstance(k, np.generic) else k
+
+
 def _np_dtype(tpe: T.Type):
     if tpe is T.DOUBLE:
         return np.float64
@@ -365,6 +370,12 @@ ASSOC_UFUNCS = {
 }
 
 
+def _clamp(idx, hi: int):
+    """``np.clip(idx, 0, hi)`` without ``np.clip``'s per-call dtype-limit
+    checks (masked-off lanes may hold out-of-range indices)."""
+    return np.minimum(np.maximum(idx, 0), hi)
+
+
 def _truncate(a):
     a = np.asarray(a)
     if a.dtype == np.bool_:
@@ -398,22 +409,30 @@ def recognize_assoc_prim(block: Block) -> Optional[str]:
 # Static vectorizability scan
 # ---------------------------------------------------------------------------
 
+def _share_reason(gens: Sequence[Generator]) -> Optional[str]:
+    """Generators that share a key probe must also share the active mask,
+    otherwise the first-probe/sibling-write cost split cannot be
+    reproduced lane-wise."""
+    share_keys, need_memo = loop_share_plan(gens)
+    if not need_memo:
+        return None
+    by_key: Dict[Any, Any] = {}
+    for ck, kk in share_keys:
+        if kk is None:
+            continue
+        if kk in by_key and by_key[kk] != ck:
+            return "bucket key shared across generators with " \
+                   "differing conditions"
+        by_key.setdefault(kk, ck)
+    return None
+
+
 def plan_loop(loop: MultiLoop) -> Optional[str]:
     """Static scan of one top-level loop; returns a fallback reason or
     ``None`` when every construct has a vectorized lowering."""
-    share_keys, need_memo = loop_share_plan(loop.gens)
-    if need_memo:
-        # generators that share a key probe must also share the active
-        # mask, otherwise the first-probe/sibling-write cost split cannot
-        # be reproduced lane-wise
-        by_key: Dict[Any, Any] = {}
-        for g, (ck, kk) in zip(loop.gens, share_keys):
-            if kk is None:
-                continue
-            if kk in by_key and by_key[kk] != ck:
-                return "bucket key shared across generators with " \
-                       "differing conditions"
-            by_key.setdefault(kk, ck)
+    reason = _share_reason(loop.gens)
+    if reason is not None:
+        return reason
     for g in loop.gens:
         for b in g.blocks():
             reason = _plan_block(b)
@@ -462,7 +481,7 @@ def _plan_reducer(block: Block) -> Optional[str]:
     return None  # compound reducers are associative by the reduce contract
 
 
-def _plan_block(block: Block, nested: bool = False) -> Optional[str]:
+def _plan_block(block: Block) -> Optional[str]:
     for d in block.stmts:
         op = d.op
         if isinstance(op, (MakeKeyed, InputSource)):
@@ -473,17 +492,20 @@ def _plan_block(block: Block, nested: bool = False) -> Optional[str]:
             return f"no vectorized lowering for prim.{op.name}"
         if isinstance(op, IfThenElse):
             for b in (op.then_block, op.else_block):
-                reason = _plan_block(b, nested)
+                reason = _plan_block(b)
                 if reason is not None:
                     return reason
         if isinstance(op, MultiLoop):
+            # nested loops run as sequential trips that fold in trip order,
+            # so any reducer (associative or not) is exact here
+            reason = _share_reason(op.gens)
+            if reason is not None:
+                return reason
             for g in op.gens:
-                if g.kind not in (GenKind.COLLECT, GenKind.REDUCE):
-                    return f"nested {g.kind.value} generator"
                 if g.flatten:
                     return "nested flatten-Collect (ragged concatenation)"
                 for b in g.blocks():
-                    reason = _plan_block(b, nested=True)
+                    reason = _plan_block(b)
                     if reason is not None:
                         return reason
     return None
@@ -517,15 +539,25 @@ class StatsDelta:
 
 
 class _GenState:
-    """Accumulator of one nested generator across sequential trips."""
+    """Accumulator of one nested generator across sequential trips.
 
-    __slots__ = ("cols", "keeps", "acc", "seen")
+    A bucket generator keeps one sub-state per distinct key in
+    ``buckets``; each sub-state accumulates exactly like a Collect or
+    Reduce over the lanes that hit its key, and ``first`` holds the trip
+    at which each lane first hit it (-1: never), which fixes each lane's
+    own first-seen key order."""
+
+    __slots__ = ("cols", "keeps", "acc", "seen", "all_seen", "buckets",
+                 "first")
 
     def __init__(self):
         self.cols: List[Any] = []
         self.keeps: List[Any] = []
         self.acc: Any = None
         self.seen: Optional[np.ndarray] = None
+        self.all_seen = False
+        self.buckets: Dict[Any, "_GenState"] = {}
+        self.first: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +748,7 @@ class LoopVectorizer:
             lens, pad = self.host.row_cache(arr.base)
             if pad is None:
                 raise VecError("gathered rows have non-scalar elements")
-            j = np.clip(idx, 0, pad.shape[1] - 1) if pad.shape[1] else None
+            j = _clamp(idx, pad.shape[1] - 1) if pad.shape[1] else None
             if j is None:
                 raise VecError("indexing into empty rows")
             return pad[arr.idx, j]
@@ -724,7 +756,7 @@ class LoopVectorizer:
             w = arr.data.shape[1]
             if w == 0:
                 raise VecError("indexing into empty rows")
-            j = np.clip(idx, 0, w - 1)
+            j = _clamp(idx, w - 1)
             if isinstance(j, np.ndarray):
                 rows = arr.data[np.arange(self.L), j]
             else:
@@ -747,7 +779,7 @@ class LoopVectorizer:
                 rt: T.Type) -> Any:
         if len(base) == 0:
             raise VecError("gather from an empty collection")
-        idx = np.clip(idx, 0, len(base) - 1)
+        idx = _clamp(idx, len(base) - 1)
         if isinstance(rt, T.Struct):
             cols = self.host.col_cache(base, rt)
             return SVec(tuple(
@@ -891,23 +923,39 @@ class LoopVectorizer:
         for s, g, st in zip(d.syms, gens, states):
             self.env[s.id] = self._finish_nested(g, st, mask)
 
-    def _shared_cond(self, block: Block, t: int,
-                     mask: Optional[np.ndarray], memo, ckey) -> Any:
-        if memo is None or ckey is None:
+    def _shared_eval(self, block: Block, t: int,
+                     mask: Optional[np.ndarray], memo, mkey) -> Any:
+        if memo is None or mkey is None:
             return self.eval_block(block, (t,), mask)
-        if ckey in memo:
-            return memo[ckey]
+        if mkey in memo:
+            return memo[mkey]
         v = self.eval_block(block, (t,), mask)
-        memo[ckey] = v
+        memo[mkey] = v
         return v
+
+    def _nested_key(self, g: Generator, t: int, mask: Optional[np.ndarray],
+                    memo, kkey) -> Any:
+        """Key computation + hash probe, shared across alpha-equivalent
+        sibling generators exactly as ``Interp._bucket_key`` shares it."""
+        if memo is None or kkey is None:
+            self.add_ess(BUCKET_CYCLES, mask)
+            return self.eval_block(g.key, (t,), mask)
+        probe = ("probe", kkey)
+        if probe in memo:
+            self.add_ess(WRITE_CYCLES, mask)  # sibling probe: indexed write
+            return memo[probe]
+        self.add_ess(BUCKET_CYCLES, mask)
+        k = self._shared_eval(g.key, t, mask, memo, kkey)
+        memo[probe] = k
+        return k
 
     def _nested_gen_iter(self, g: Generator, st: _GenState, t: int,
                          mask: Optional[np.ndarray], memo, sk) -> None:
-        ckey, _ = sk
+        ckey, kkey = sk
         m = mask
         if g.cond is not None:
             self.add_ovh(BRANCH_CYCLES, m)
-            cv = self._shared_cond(g.cond, t, m, memo, ckey)
+            cv = self._shared_eval(g.cond, t, m, memo, ckey)
             if is_vec(cv):
                 cv = cv.astype(np.bool_, copy=False)
                 m = cv if m is None else (m & cv)
@@ -915,39 +963,105 @@ class LoopVectorizer:
                     return
             elif not cv:
                 return
-        if g.kind is GenKind.COLLECT:
+        bucketed = g.kind in (GenKind.BUCKET_COLLECT, GenKind.BUCKET_REDUCE)
+        if bucketed:
+            key = self._nested_key(g, t, m, memo, kkey)
+        if g.kind in (GenKind.COLLECT, GenKind.BUCKET_COLLECT):
             v = self.eval_block(g.value, (t,), m)
             self.count_alloc(g.value_type, m, 1)
-            st.cols.append(v)
-            st.keeps.append(self.full_mask(m))
-        else:  # REDUCE
+        else:
             self.in_reduce_value += 1
             try:
                 v = self.eval_block(g.value, (t,), m)
             finally:
                 self.in_reduce_value -= 1
-            full = self.full_mask(m)
-            if st.seen is None:
-                st.acc = as_lane_vec(v, self.L)
-                st.seen = full.copy()
-                return
-            rest = full & st.seen
-            first = full & ~st.seen
-            if rest.any():
-                self.in_reducer += 1
-                try:
-                    r = self.eval_block(g.reducer, (st.acc, v), rest)
-                finally:
-                    self.in_reducer -= 1
-                st.acc = vec_where(rest, r, st.acc, self.L)
-            if first.any():
-                st.acc = vec_where(first, v, st.acc, self.L)
-            st.seen |= full
+        if not bucketed:
+            new = None if g.kind is GenKind.COLLECT else self._hit(st, m)
+            self._accumulate(g, st, v, m, new)
+            return
+        for k, km in self._key_groups(key, m):
+            sub = st.buckets.get(k)
+            if sub is None:
+                sub = st.buckets[k] = _GenState()
+                sub.first = np.full(self.L, -1, dtype=np.int64)
+            new = self._hit(sub, km)
+            if new is not None:
+                sub.first[new] = t
+            self._accumulate(g, sub, v, km, new)
+
+    def _key_groups(self, key: Any, mask: Optional[np.ndarray]):
+        """Split the trip's active lanes by bucket key: ``(host key, lane
+        mask)`` pairs, one per distinct key."""
+        if not is_vec(key):
+            return [(host_key(key), mask)]
+        if not isinstance(key, np.ndarray):
+            raise VecError("non-scalar bucket key")
+        act = key if mask is None else key[mask]
+        if act.dtype.kind == "f" and bool(np.isnan(act).any()):
+            raise VecError("NaN bucket key")
+        try:
+            uniq = np.unique(act)
+        except TypeError as e:
+            raise VecError(f"unsortable bucket keys: {e}") from None
+        if len(uniq) == 1:
+            return [(host_key(uniq[0]), mask)]
+        full = self.full_mask(mask)
+        return [(host_key(u), full & (key == u)) for u in uniq]
+
+    def _hit(self, st: _GenState,
+             mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Mark the lanes of ``mask`` as having reached ``st``; returns the
+        lanes that reached it for the first time (None: no new lane)."""
+        if st.all_seen:
+            return None
+        full = self.full_mask(mask)
+        if st.seen is None:
+            st.seen = new = full.copy()
+        else:
+            new = full & ~st.seen
+            if not new.any():
+                return None
+            st.seen |= new
+        st.all_seen = bool(st.seen.all())
+        return new
+
+    def _accumulate(self, g: Generator, st: _GenState, v: Any,
+                    mask: Optional[np.ndarray],
+                    new: Optional[np.ndarray]) -> None:
+        """Append (Collect kinds) or fold (Reduce kinds) one trip's value
+        into ``st`` on the lanes of ``mask``; ``new`` (from ``_hit``)
+        marks the lanes whose value starts the fold."""
+        if g.kind in (GenKind.COLLECT, GenKind.BUCKET_COLLECT):
+            st.cols.append(v)
+            st.keeps.append(self.full_mask(mask))
+            return
+        if new is None:  # every lane of the mask already holds a value
+            r = self._reduce(g, st.acc, v, mask)
+            st.acc = r if mask is None else vec_where(mask, r, st.acc, self.L)
+            return
+        if st.acc is None:
+            st.acc = as_lane_vec(v, self.L)
+            return
+        rest = self.full_mask(mask) & ~new
+        if rest.any():
+            st.acc = vec_where(rest, self._reduce(g, st.acc, v, rest),
+                               st.acc, self.L)
+        st.acc = vec_where(new, v, st.acc, self.L)
+
+    def _reduce(self, g: Generator, acc: Any, v: Any,
+                mask: Optional[np.ndarray]) -> Any:
+        self.in_reducer += 1
+        try:
+            return self.eval_block(g.reducer, (acc, v), mask)
+        finally:
+            self.in_reducer -= 1
 
     def _finish_nested(self, g: Generator, st: _GenState,
                        mask: Optional[np.ndarray]) -> Any:
         if g.kind is GenKind.COLLECT:
             return self._assemble_collect(g, st, mask)
+        if g.kind is not GenKind.REDUCE:
+            return self._assemble_buckets(g, st, mask)
         # REDUCE: lanes that saw no element fall back to init/identity
         if g.init is not None:
             ident = self.lookup(g.init)
@@ -955,10 +1069,43 @@ class LoopVectorizer:
             ident = g.identity_value()
         if st.seen is None:
             return as_lane_vec(ident, self.L)
-        if bool(st.seen.all()):
+        if st.all_seen:
             return st.acc
         return vec_where(st.seen, st.acc, as_lane_vec(ident, self.L),
                          self.L)
+
+    def _assemble_buckets(self, g: Generator, st: _GenState,
+                          mask: Optional[np.ndarray]) -> np.ndarray:
+        """One ``Buckets`` per lane, keys in that lane's first-seen order,
+        as an object lane vector."""
+        collect = g.kind is GenKind.BUCKET_COLLECT
+        init = None if collect or g.init is None else self.lookup(g.init)
+        if is_vec(init):
+            raise VecError("lane-dependent bucket default")
+
+        def default() -> Any:  # a fresh one per lane, as per execution
+            if collect:
+                return []
+            return init if g.init is not None else T.zero_value(g.value_type)
+
+        hits: List[List[Tuple[int, Any, Any]]] = [[] for _ in range(self.L)]
+        for k, sub in st.buckets.items():
+            lanes = np.nonzero(sub.first >= 0)[0]
+            if collect:
+                vals = self.host.to_host(self._assemble_collect(g, sub, mask),
+                                         lanes, T.Coll(g.value_type))
+            else:
+                vals = self.host.to_host(sub.acc, lanes, g.value_type)
+            for l, f, hv in zip(lanes.tolist(), sub.first[lanes].tolist(),
+                                vals):
+                hits[l].append((f, k, hv))
+        out = np.empty(self.L, dtype=object)
+        for l, lane_hits in enumerate(hits):
+            b = Buckets(default=default())
+            for _, k, hv in sorted(lane_hits, key=lambda h: h[0]):
+                b.get_or_create(k, hv)
+            out[l] = b
+        return out
 
     def _assemble_collect(self, g: Generator, st: _GenState,
                           mask: Optional[np.ndarray]) -> Any:

@@ -64,16 +64,19 @@ class Payload:
     inputs: Dict[str, Any]
     key: str
 
+    def salted(self, salt: str) -> "Payload":
+        """A *distinct logical* payload sharing this one's data, keyed
+        without digesting the inputs again."""
+        return Payload(self.inputs, f"{self.key}:{salt}")
+
 
 def make_payload(inputs: Dict[str, Any],
                  salt: Optional[str] = None) -> Payload:
     """Build a payload; ``salt`` forges a *distinct logical* payload
     sharing the same data (traffic simulation: many tenants, same
     measured dataset) — salted payloads never lane-pack together."""
-    key = payload_digest(inputs)
-    if salt is not None:
-        key = f"{key}:{salt}"
-    return Payload(inputs, key)
+    p = Payload(inputs, payload_digest(inputs))
+    return p if salt is None else p.salted(salt)
 
 
 @dataclass(eq=False)

@@ -308,11 +308,13 @@ class ProgramServer:
     def payload_for(self, app: str,
                     salt: Optional[str] = None) -> Payload:
         """The app's default payload, optionally salted into a distinct
-        logical tenant (memoized so equal salts share lane groups)."""
+        logical tenant (memoized so equal salts share lane groups; the
+        inputs are digested once per app, not once per salt)."""
         key = (app, salt)
         if key not in self._payloads:
-            self._payloads[key] = make_payload(
-                self.apps[app].default_inputs, salt=salt)
+            self._payloads[key] = (
+                make_payload(self.apps[app].default_inputs)
+                if salt is None else self.payload_for(app).salted(salt))
         return self._payloads[key]
 
     def submit(self, app: str, payload: Optional[Payload] = None,

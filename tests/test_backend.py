@@ -7,10 +7,13 @@ change wall-clock only, never the priced cost. Every loop it cannot
 vectorize must fall back to the reference path (recorded, not silent),
 which keeps the contract trivially true for unsupported shapes.
 
-All eight bundled apps must additionally run with *zero* fallbacks —
-the acceptance bar for the backend actually covering the paper's
+All eight bundled apps must additionally run with *zero* fallbacks in
+both variants the serving fleet runs (``opt`` and ``gpu``) — the
+acceptance bar for the backend actually covering the paper's
 workloads.
 """
+
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -56,16 +59,55 @@ def run_both(prog, inputs):
 # The eight bundled applications
 # ---------------------------------------------------------------------------
 
+#: the variants the serving fleet runs; the GPU variant carries the
+#: Row-to-Column bucket shape (a Collect of nested BucketReduce loops)
+SERVED_VARIANTS = ["opt", "gpu"]
+
+
 class TestBundledApps:
-    @pytest.mark.parametrize("app", APPS)
-    def test_identical_and_fully_vectorized(self, app):
+    @pytest.mark.parametrize("app,variant", [
+        pytest.param(a, v, id=a if v == "opt" else f"{a}-{v}")
+        for v in SERVED_VARIANTS for a in APPS])
+    def test_identical_and_fully_vectorized(self, app, variant):
         bundle = get_bundle(app)
-        compiled = bundle.compiled("opt")
+        compiled = bundle.compiled(variant)
         inputs = compiled.prepare_inputs(bundle.inputs)
         fallbacks = run_both(compiled.program, inputs)
         assert fallbacks == [], (
-            f"{app} fell back to the interpreter: "
+            f"{app} [{variant}] fell back to the interpreter: "
             f"{[(f.loop, f.reason) for f in fallbacks]}")
+
+    def test_served_variants_match_the_fleet(self):
+        from repro.backend.check import served_variants
+        assert served_variants() == sorted(SERVED_VARIANTS)
+
+    @pytest.mark.parametrize("app", ["kmeans", "gda"])
+    def test_gpu_row_to_column_costs_backend_invariant(self, app):
+        from repro.backend.vectorize import plan_program
+        bundle = get_bundle(app)
+        plan = plan_program(bundle.compiled("gpu").program)
+        assert any(k.startswith("ss") for k in plan)
+        assert all(reason is None for reason in plan.values()), plan
+        ref = bundle.capture("gpu", backend="reference")
+        vec = bundle.capture("gpu", backend="numpy")
+        assert vec.fallbacks == []
+        assert ref.per_iter == vec.per_iter
+        assert (bundle.simulate("gpu", backend="reference").total_seconds
+                == bundle.simulate("gpu", backend="numpy").total_seconds)
+
+    def test_fallback_reasons_are_typed(self):
+        # a fallback reason must name the construct, never leak an
+        # escaped Python exception ("TypeError: ...")
+        escaped = re.compile(r"[A-Z]\w*(Error|Exception)\b:")
+        for app in APPS:
+            bundle = get_bundle(app)
+            for variant in ("opt", "plain", "gpu"):
+                compiled = bundle.compiled(variant)
+                _, _, fallbacks = run_program_numpy(
+                    compiled.program, compiled.prepare_inputs(bundle.inputs))
+                for fb in fallbacks:
+                    assert not escaped.match(fb.reason), (
+                        app, variant, fb.loop, fb.reason)
 
     def test_capture_records_backend_and_per_iter(self):
         from repro.runtime.executor import capture_run
@@ -277,3 +319,154 @@ class TestPropertyDifferential:
                                    "distributed")
         inputs = compiled.prepare_inputs({"xs": data})
         run_both(compiled.program, inputs)
+
+
+# ---------------------------------------------------------------------------
+# Nested bucket generators (the GPU Row-to-Column shape)
+# ---------------------------------------------------------------------------
+
+INTS = T.Coll(T.INT)
+
+
+def nested_gens(prog):
+    """(kind, has_cond) of every generator of every loop nested in a
+    top-level loop's blocks."""
+    from repro.core.multiloop import MultiLoop
+    out = []
+
+    def walk(block, depth):
+        for d in block.stmts:
+            if isinstance(d.op, MultiLoop):
+                if depth:
+                    out.append(tuple((g.kind.value, g.cond is not None)
+                                     for g in d.op.gens))
+                for g in d.op.gens:
+                    for b in g.blocks():
+                        walk(b, depth + 1)
+
+    walk(prog.body, 0)
+    return out
+
+
+def bucket_orders(v):
+    """Every ``Buckets``' key list, in dense (first-seen) order."""
+    from repro.core.values import Buckets
+    if isinstance(v, Buckets):
+        return [list(v.keys)]
+    if isinstance(v, (list, tuple)):
+        return [o for x in v for o in bucket_orders(x)]
+    return []
+
+
+def run_nested(prog, inputs, shape):
+    assert shape in nested_gens(prog), nested_gens(prog)
+    ref_results, ref_stats = run_program(prog, inputs)
+    vec_results, vec_stats, fallbacks = run_program_numpy(prog, inputs)
+    assert fallbacks == [], [(f.loop, f.reason) for f in fallbacks]
+    assert deep_eq(ref_results, vec_results)
+    assert_stats_equal(ref_stats, vec_stats)
+    # deep_eq ignores key order; each lane keeps its own first-seen order
+    assert bucket_orders(ref_results) == bucket_orders(vec_results)
+    return ref_results
+
+
+BUCKET_REDUCE = (("BucketReduce", False),)
+
+
+class TestNestedBuckets:
+    def test_keys_differ_across_lanes_in_first_seen_order(self):
+        prog = F.build(
+            lambda xs, ys: xs.map(lambda x: ys.group_by_reduce(
+                lambda y: (y + x) % 3, lambda y: y, lambda a, b: a + b)),
+            [F.InputSpec("xs", INTS, True), F.InputSpec("ys", INTS, True)])
+        out = run_nested(prog, {"xs": [0, 1, 2, 5],
+                                "ys": [3, 1, 4, 1, 5, 9, 2, 6]},
+                         BUCKET_REDUCE)
+        assert bucket_orders(out) == [[0, 1, 2], [1, 2, 0], [2, 0, 1],
+                                      [2, 0, 1]]
+
+    def test_masked_generator_and_lanes_left_empty(self):
+        def fn(xs, ys):
+            return xs.map(lambda x: ys.filter(lambda y: y > x)
+                          .group_by_reduce(lambda y: y % 2,
+                                           lambda y: y * x,
+                                           lambda a, b: a + b))
+        prog = optimize(F.build(fn, [F.InputSpec("xs", INTS, True),
+                                     F.InputSpec("ys", INTS, True)]))
+        out = run_nested(prog, {"xs": [0, 4, 100, 2],
+                                "ys": [3, 1, 4, 1, 5, 9, 2, 6]},
+                         (("BucketReduce", True),))
+        assert bucket_orders(out)[2] == []  # no y > 100: empty buckets
+
+    def test_ragged_trips(self):
+        prog = F.build(
+            lambda rows: rows.map(lambda r: r.group_by_reduce(
+                lambda y: y % 3, lambda y: y, lambda a, b: a + b)),
+            [F.InputSpec("rows", T.Coll(INTS), True)])
+        run_nested(prog, {"rows": [[1, 2, 3], [], [4, 4, 4, 4, 5], [7]]},
+                   BUCKET_REDUCE)
+
+    def test_vector_zip_add_reducer(self):
+        def fn(xs, ys):
+            return xs.map(lambda x: ys.group_by_reduce(
+                lambda y: y % 2, lambda y: F.array_lit([y, y * x]),
+                lambda a, b: a.zip_with(b, lambda p, q: p + q)))
+        prog = F.build(fn, [F.InputSpec("xs", INTS, True),
+                            F.InputSpec("ys", INTS, True)])
+        run_nested(prog, {"xs": [1, 2, 3], "ys": [3, 1, 4, 1, 5]},
+                   BUCKET_REDUCE)
+
+    def test_fused_siblings_share_one_key_probe(self):
+        from repro.core.multiloop import MultiLoop
+        from repro.core.interp import loop_share_plan
+
+        def fn(xs, ys):
+            return xs.map(lambda x: F.pair(
+                ys.group_by_reduce(lambda y: (y + x) % 3, lambda y: y + x,
+                                   lambda a, b: a + b),
+                ys.group_by_reduce(lambda y: (y + x) % 3, lambda y: y * x,
+                                   lambda a, b: F.fmax(a, b))))
+        prog = optimize(F.build(fn, [F.InputSpec("xs", INTS, True),
+                                     F.InputSpec("ys", INTS, True)]))
+        shared = [loop_share_plan(e.op.gens)[1]
+                  for d in prog.body.stmts if isinstance(d.op, MultiLoop)
+                  for g in d.op.gens for b in g.blocks() for e in b.stmts
+                  if isinstance(e.op, MultiLoop)]
+        assert shared == [True]
+        run_nested(prog, {"xs": [1, 2, 3], "ys": [3, 1, 4, 1, 5]},
+                   BUCKET_REDUCE * 2)
+
+    def test_nested_bucket_collect(self):
+        prog = F.build(
+            lambda xs, ys: xs.map(lambda x: ys.group_by(
+                lambda y: (y + x) % 2)),
+            [F.InputSpec("xs", INTS, True), F.InputSpec("ys", INTS, True)])
+        run_nested(prog, {"xs": [0, 1], "ys": [3, 1, 4, 1, 5]},
+                   (("BucketCollect", False),))
+
+    @given(st.lists(st.integers(min_value=-4, max_value=9), min_size=0,
+                    max_size=6),
+           st.lists(st.integers(min_value=-20, max_value=20), min_size=0,
+                    max_size=25),
+           st.integers(min_value=1, max_value=4),
+           st.booleans(), st.sampled_from(["add", "max", "zip"]))
+    @settings(**dict(SETTINGS, max_examples=30))
+    def test_backends_agree_on_nested_bucket_reduce(self, xs, ys, nkeys,
+                                                    masked, reducer):
+        def fn(xs_r, ys_r):
+            def per_lane(x):
+                src = ys_r.filter(lambda y: y > x) if masked else ys_r
+                if reducer == "zip":
+                    return src.group_by_reduce(
+                        lambda y: (y + x) % nkeys,
+                        lambda y: F.array_lit([y, y * x]),
+                        lambda a, b: a.zip_with(b, lambda p, q: p + q))
+                return src.group_by_reduce(
+                    lambda y: (y * x) % nkeys, lambda y: y - x,
+                    (lambda a, b: a + b) if reducer == "add"
+                    else (lambda a, b: F.fmax(a, b)))
+            return xs_r.map(per_lane)
+        prog = optimize(F.build(fn, [F.InputSpec("xs", INTS, True),
+                                     F.InputSpec("ys", INTS, True)]))
+        run_nested(prog, {"xs": xs, "ys": ys},
+                   (("BucketReduce", masked),))

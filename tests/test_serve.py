@@ -116,6 +116,21 @@ class TestPayloads:
         sizes = sorted(len(v) for v in by_batch.values())
         assert sizes == [1, 2]
 
+    def test_salted_keys_digest_inputs_once_per_app(self, monkeypatch):
+        import repro.serve.batching as batching
+        served = ServedApp.from_bundle("q1")
+        server = ProgramServer([served], backend="numpy")
+        calls = []
+        real = batching.payload_digest
+        monkeypatch.setattr(batching, "payload_digest",
+                            lambda inputs: calls.append(1) or real(inputs))
+        salts = [None, "a", "b", "t7", "a"]
+        keys = [server.payload_for("q1", s).key for s in salts]
+        assert len(calls) == 1
+        monkeypatch.setattr(batching, "payload_digest", real)
+        assert keys == [make_payload(served.default_inputs, s).key
+                        for s in salts]
+
     def test_admission_queue_fifo_and_window(self):
         q = AdmissionQueue()
         p = make_payload({"x": 1})
