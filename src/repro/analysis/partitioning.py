@@ -54,7 +54,7 @@ class LoopDistInfo:
 class PartitionReport:
     layouts: Dict[Sym, DataLayout] = field(default_factory=dict)
     loops: Dict[int, LoopDistInfo] = field(default_factory=dict)
-    #: typed, loop-attributed events (repro.diagnostics); the historical
+    #: typed, loop-attributed events (repro.obs.diagnostics); the historical
     #: ``warnings`` string list is derived from these
     diagnostics: List[Diagnostic] = field(default_factory=list)
     applied_rules: List[str] = field(default_factory=list)

@@ -83,26 +83,59 @@ def decompose_timeline(tl: RequestTimeline) -> Optional[Dict[str, float]]:
     latency = marks["complete"] - marks["arrive"]
     comps: Dict[str, float] = {}
     prev = marks["arrive"]
-    acc = 0.0
     for comp, mark in _STAGE_ENDS:
         t = marks.get(mark, prev)
         comps[comp] = t - prev
-        acc += comps[comp]
         prev = t
-    execution = latency - acc
-    # make the identity bit-exact, not just correctly rounded: when
-    # acc >= latency/2 Sterbenz's lemma already makes `latency - acc`
-    # exact; otherwise the remainder dominates and a few one-ulp nudges
-    # land `acc + execution` exactly on `latency`
-    for _ in range(8):
-        s = acc + execution
-        if s == latency:
-            break
-        execution = math.nextafter(
-            execution, math.inf if s < latency else -math.inf)
+    execution = _remainder(comps, latency)
+    if execution is None:
+        # `acc` carries bits below ulp(latency), so no remainder closes
+        # the sum. Move the last non-zero earlier component (by at most
+        # one ulp of latency) so `acc` lands on latency's ulp grid, where
+        # `latency - acc` is exact.
+        last = max(i for i, (c, _) in enumerate(_STAGE_ENDS) if comps[c])
+        name = _STAGE_ENDS[last][0]
+        prefix = _accumulate(comps, last)
+        grid = math.ulp(latency)
+        want = round(_accumulate(comps) / grid) * grid - prefix
+        for cand in (want, math.nextafter(want, -math.inf),
+                     math.nextafter(want, math.inf)):
+            comps[name] = cand
+            execution = _remainder(comps, latency)
+            if execution is not None:
+                break
+        else:
+            raise ArithmeticError(f"no exact latency decomposition for "
+                                  f"marks {marks}")
     comps["execution_s"] = execution
     comps["latency_s"] = latency
     return comps
+
+
+def _accumulate(comps: Dict[str, float], upto: int = len(_STAGE_ENDS)
+                ) -> float:
+    """Sum of the first ``upto`` earlier components, in order."""
+    acc = 0.0
+    for comp, _mark in _STAGE_ENDS[:upto]:
+        acc += comps[comp]
+    return acc
+
+
+def _remainder(comps: Dict[str, float], latency: float) -> Optional[float]:
+    """The ``execution_s`` that makes the components sum to ``latency``
+    bit-exactly, or ``None`` when no float does. When acc >= latency/2
+    Sterbenz's lemma already makes ``latency - acc`` exact; otherwise
+    the remainder dominates and a few one-ulp nudges land
+    ``acc + execution`` exactly on ``latency``."""
+    acc = _accumulate(comps)
+    execution = latency - acc
+    for _ in range(8):
+        s = acc + execution
+        if s == latency:
+            return execution
+        execution = math.nextafter(
+            execution, math.inf if s < latency else -math.inf)
+    return None
 
 
 def request_decomposition(server: Any) -> List[Dict[str, Any]]:

@@ -66,7 +66,7 @@ def validate_events(events: List[dict]) -> List[str]:
 #: slack for interval checks on exported traces: ts/dur are rounded to
 #: 3 decimals (µs) independently, so parent/child edges can disagree by
 #: a few nanoseconds after rounding
-_TOL_US = 0.01
+TOL_US = 0.01
 
 
 def validate_containment(xs: List[dict]) -> List[str]:
@@ -88,9 +88,9 @@ def validate_containment(xs: List[dict]) -> List[str]:
         stack: List[tuple] = []      # (name, end_ts) of open slices
         for e in evs:
             ts, end = e["ts"], e["ts"] + e["dur"]
-            while stack and stack[-1][1] <= ts + _TOL_US:
+            while stack and stack[-1][1] <= ts + TOL_US:
                 stack.pop()
-            if stack and end > stack[-1][1] + _TOL_US:
+            if stack and end > stack[-1][1] + TOL_US:
                 path = "/".join(n for n, _ in stack)
                 errors.append(
                     f"containment: event '{e.get('name')}' on track "

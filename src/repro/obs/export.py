@@ -19,6 +19,7 @@ import json
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Union
 
 from ..report.tables import render_table
+from .check import TOL_US
 from .spans import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -87,7 +88,9 @@ _REQUEST_KINDS = ("request", "queue", "exec")
 #: per-attempt spans (retries, hedges, crash re-enqueues) live in a
 #: third process: attempts of one request share a track, so a hedge
 #: racing its primary nests instead of fighting the winning request
-#: span's queue/exec children for slice nesting
+#: span's queue/exec children for slice nesting. An attempt that would
+#: *partially* overlap an earlier one there (a hedge outliving a
+#: requeued primary) moves to an extra track (``_split_attempt_tracks``)
 _ATTEMPT_PID = 3
 
 
@@ -105,6 +108,37 @@ def _pid_tid_of(sp: Span) -> tuple:
     if sp.kind == "attempt":
         return _ATTEMPT_PID, int(sp.attrs.get("rid", 0))
     return 1, _tid_of(sp)
+
+
+def _split_attempt_tracks(events: List[dict]) -> Dict[int, str]:
+    """Place each attempt event on its rid's track unless it would
+    partially overlap an earlier attempt there; such an event moves to
+    the first extra track of that rid where it nests (a new one if
+    none does). Uses the trace validator's nesting rule, so traces
+    that already nest keep every tid. Returns ``tid -> track name``."""
+    by_rid: Dict[int, List[dict]] = {}
+    for e in events:
+        if e["pid"] == _ATTEMPT_PID:
+            by_rid.setdefault(e["tid"], []).append(e)
+    names = {rid: f"r{rid} attempts" for rid in by_rid}
+    next_tid = max(by_rid, default=0) + 1
+    for rid in sorted(by_rid):
+        tracks: List[tuple] = [(rid, [])]  # (tid, open slice ends)
+        for e in sorted(by_rid[rid], key=lambda e: (e["ts"], -e["dur"])):
+            ts, end = e["ts"], e["ts"] + e["dur"]
+            for tid, stack in tracks:
+                while stack and stack[-1] <= ts + TOL_US:
+                    stack.pop()
+                if not stack or end <= stack[-1] + TOL_US:
+                    break
+            else:
+                tid, stack = next_tid, []
+                next_tid += 1
+                names[tid] = f"r{rid} attempts ({len(tracks) + 1})"
+                tracks.append((tid, stack))
+            stack.append(end)
+            e["tid"] = tid
+    return names
 
 
 def flow_events(roots: Iterable[Span]) -> List[dict]:
@@ -169,7 +203,6 @@ def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
     events: List[dict] = []
     tids = {0}
     req_tids: dict = {}
-    attempt_tids: set = set()
     for root in roots:
         for sp, _depth in root.walk():
             pid, tid = _pid_tid_of(sp)
@@ -177,8 +210,6 @@ def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
                 tids.add(tid)
             elif sp.kind == "request":
                 req_tids[tid] = sp.name
-            elif pid == _ATTEMPT_PID:
-                attempt_tids.add(tid)
             events.append({
                 "name": sp.name,
                 "cat": sp.kind,
@@ -189,6 +220,7 @@ def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
                 "dur": round(sp.dur_s * _US, 3),
                 "args": _clean_args(sp.attrs),
             })
+    attempt_tids = _split_attempt_tracks(events)
     events.sort(key=_event_sort_key)
     meta = [{"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
              "args": {"name": "dmll simulated run"}}]
@@ -209,7 +241,7 @@ def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
         for tid in sorted(attempt_tids):
             meta.append({"name": "thread_name", "ph": "M",
                          "pid": _ATTEMPT_PID, "tid": tid,
-                         "args": {"name": f"r{tid} attempts"}})
+                         "args": {"name": attempt_tids[tid]}})
     return meta + events + flow_events(roots)
 
 

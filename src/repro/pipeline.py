@@ -78,7 +78,6 @@ def optimize_passes(horizontal: bool = True,
 
 def optimize(prog: Program, horizontal: bool = True,
              groupby_reduce: bool = True,
-             applied_log: Optional[list] = None,
              pm: Optional[PassManager] = None,
              phase: str = "optimize",
              fuse: bool = True) -> Program:
@@ -86,18 +85,12 @@ def optimize(prog: Program, horizontal: bool = True,
 
     When no ``pm`` is given a fresh PassManager is created (honoring
     ``DEFAULT_VERIFY``); passing one threads this phase into a larger
-    shared trace. ``applied_log`` is kept for backward compatibility and
-    receives the rule applications of *this call* — but unlike the old
-    implementation the applications are always in the trace too.
+    shared trace, whose rule applications feed ``report.applied_rules``.
     """
     if pm is None:
         pm = PassManager(verify=DEFAULT_VERIFY)
-    start = len(pm.traces)
-    prog = pm.run(prog, optimize_passes(horizontal, groupby_reduce, fuse),
+    return pm.run(prog, optimize_passes(horizontal, groupby_reduce, fuse),
                   phase)
-    if applied_log is not None:
-        applied_log.extend(r for t in pm.traces[start:] for r in t.rules)
-    return prog
 
 
 @dataclass
@@ -120,7 +113,7 @@ class CompiledProgram:
 
     @property
     def diagnostics(self):
-        """Typed, loop-attributed events (repro.diagnostics) behind the
+        """Typed, loop-attributed events (repro.obs.diagnostics) behind the
         ``warnings`` string view."""
         return self.report.diagnostics
 

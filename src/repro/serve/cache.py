@@ -100,17 +100,12 @@ class ProgramCache:
         / ``"*"``) and return how many entries were evicted. The next
         ``get`` recompiles and counts a miss — this is the hook the
         fault plan's ``cache`` events use."""
-        if app in (None, "*"):
-            n = len(self._entries)
-            self._entries.clear()
-            self._by_digest.clear()
-            return n
-        victims = [k for k in self._entries if k[0] == app]
-        for k in victims:
-            del self._entries[k]
-        for k in [k for k in self._by_digest if k[0] == app]:
-            del self._by_digest[k]
-        return len(victims)
+        n = len(self._entries)
+        self._entries = {k: e for k, e in self._entries.items()
+                         if app not in (None, "*", k[0])}
+        self._by_digest = {k: e for k, e in self._by_digest.items()
+                           if app not in (None, "*", k[0])}
+        return n - len(self._entries)
 
     def lookup(self, app: str, digest: str) -> Optional[CompiledEntry]:
         """Digest-pinned lookup: only an identical compile satisfies it."""

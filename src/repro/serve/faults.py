@@ -71,7 +71,7 @@ class FaultSpec:
       forces the recorded reference-path :class:`ServeFallback`;
       ``mode="error"`` is a hard failure the retry policy must absorb.
     - ``cache``  — at ``t0_s`` the compile cache and the server's
-      host-side memos for the target app are invalidated (recompiles
+      host-side memo for the target app are invalidated (recompiles
       surface as cache misses).
     """
 
@@ -153,9 +153,16 @@ class FaultPlan:
 
     def crash_windows(self, label: str,
                       name: str) -> List[Tuple[float, float]]:
-        """Sorted crash windows targeting the machine ``name[index]``."""
-        return sorted((s.t0_s, s.t1_s) for s in self.specs
-                      if s.kind == "crash" and s.matches(label, name))
+        """Sorted crash windows targeting the machine ``name[index]``,
+        overlapping ones merged (the machine is down over their union)."""
+        merged: List[Tuple[float, float]] = []
+        for t0, t1 in sorted((s.t0_s, s.t1_s) for s in self.specs
+                             if s.kind == "crash" and s.matches(label, name)):
+            if merged and t0 < merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], t1))
+            else:
+                merged.append((t0, t1))
+        return merged
 
     def slow_factor(self, label: str, name: str, t: float) -> float:
         """Product of the active slow multipliers on this machine."""

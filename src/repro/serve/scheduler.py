@@ -24,19 +24,28 @@ idle machines and nothing else in the scheduler changes.
 
 Chaos and resilience (``faults.py`` / ``resilience.py``) hook into the
 same event loop: crash events cancel and re-enqueue in-flight batches,
-placement skips down or open-circuit replicas, kernel faults either
-force the recorded fallback path or hard-fail the attempt into the
-retry machinery, and every request ends as exactly one ``Response`` or
-one typed ``Rejected`` — never silently lost. All of it is guarded on
-the fault plan / resilience config being present, so a plain run stays
-byte-identical to the pre-chaos scheduler.
+placement skips down or open-circuit replicas, and kernel faults force
+the recorded fallback path or hard-fail the attempt into the retry
+machinery. All of it is guarded on the fault plan / resilience config
+being present, so a plain run stays byte-identical to the pre-chaos
+scheduler.
+
+Bookkeeping is two records. A :class:`RequestState` per request counts
+where its live attempts are and how it ended; every change goes
+through ``TRANSITIONS``, so each request ends as exactly one
+``Response`` or one typed ``Rejected``, and a request answered twice or
+lost raises :class:`IllegalTransition` where it happens. A
+:class:`Batch` per execution is the ``complete`` event's payload and
+sits on its machine while in flight.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend import resolve_backend
 from ..core.ir import Program
@@ -90,6 +99,9 @@ class MachineInstance:
     batches: int = 0
     #: True while a scripted crash window holds this replica down
     down: bool = False
+    #: the batch executing here, until it completes or a crash cancels it
+    batch: Optional["Batch"] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def label(self) -> str:
@@ -172,10 +184,131 @@ class FastestPlacement:
 
 
 POLICIES: Dict[str, Callable[[], Any]] = {
-    "round-robin": RoundRobinPlacement,
-    "least-loaded": LeastLoadedPlacement,
-    "fastest": FastestPlacement,
+    p.name: p for p in (RoundRobinPlacement, LeastLoadedPlacement,
+                        FastestPlacement)}
+
+
+# ---------------------------------------------------------------------------
+# request and batch records
+# ---------------------------------------------------------------------------
+
+class IllegalTransition(RuntimeError):
+    """A request lifecycle change ``TRANSITIONS`` does not allow, raised
+    where it happens instead of in a post-run sweep."""
+
+
+#: where a live attempt is (arriving or in the admission queue,
+#: executing, backing off before a retry) and how a request ended
+QUEUED, EXECUTING, BACKOFF = 0, 1, 2
+DONE, REJECTED = "done", "rejected"
+
+#: The request lifecycle as moves of one attempt: event -> (from, to,
+#: legal once another attempt has won). A request starts with one
+#: QUEUED attempt; a hedge adds one (from ``None``), the ``-> None``
+#: events end one. The first ``complete`` makes it DONE; the end of its
+#: last live attempt any other way makes it REJECTED, and no event is
+#: legal after that (it has no live attempts).
+TRANSITIONS: Dict[str, Tuple[Optional[int], Optional[int], bool]] = {
+    "shed": (QUEUED, None, False),          # refused at the door
+    "dispatch": (QUEUED, EXECUTING, True),  # sealed into a batch
+    "expire": (QUEUED, None, True),         # deadline at seal / drain
+    "complete": (EXECUTING, None, True),    # served, or superseded
+    "requeue": (EXECUTING, QUEUED, False),  # replica crashed mid-batch
+    "cancel": (EXECUTING, None, True),      # crash, after another won
+    "retry": (EXECUTING, BACKOFF, True),    # kernel fault, backing off
+    "readmit": (BACKOFF, QUEUED, True),     # backoff over
+    "fail": (EXECUTING, None, True),        # kernel fault, no retry left
+    "hedge": (None, QUEUED, False),         # duplicate attempt launched
 }
+
+
+class RequestState:
+    """One submitted request's record: where its live attempts are, how
+    it ended, and (tracing only) its timelines."""
+
+    __slots__ = ("req", "outcome", "live", "attempts", "resp", "tl",
+                 "alt")
+
+    def __init__(self, req: Request):
+        #: the original submission (attempt 0)
+        self.req = req
+        self.outcome: Optional[str] = None
+        #: live attempts per QUEUED / EXECUTING / BACKOFF
+        self.live = [1, 0, 0]
+        #: attempts started so far (the next attempt's index)
+        self.attempts = 1
+        #: the winning attempt's response, once DONE (tracing only)
+        self.resp: Optional[Response] = None
+        #: the request's timeline: attempt 0's, replaced by a re-anchored
+        #: copy when a later attempt wins (tracing only)
+        self.tl: Optional[RequestTimeline] = req.tl
+        #: (attempt, timeline, status) of every other attempt (tracing only)
+        self.alt: Tuple[Tuple[int, RequestTimeline, str], ...] = ()
+
+    def move(self, event: str) -> bool:
+        """Apply ``event``; True when it decided the request's outcome
+        (the first completion, or the end of the last live attempt)."""
+        src, dst, after_win = TRANSITIONS[event]
+        if self.outcome is not None and not (after_win
+                                             and self.outcome == DONE):
+            raise IllegalTransition(
+                f"request {self.req.rid}: {event!r} after it was "
+                f"{self.outcome}")
+        live = self.live
+        if src is not None:
+            if not live[src]:
+                raise IllegalTransition(
+                    f"request {self.req.rid}: {event!r} with no attempt "
+                    f"in {('queued', 'executing', 'backoff')[src]}")
+            live[src] -= 1
+        if dst is not None:
+            live[dst] += 1
+        elif self.outcome is None:
+            if event == "complete":
+                self.outcome = DONE
+            elif not any(live):
+                self.outcome = REJECTED
+            return self.outcome is not None
+        return False
+
+    def won(self, resp: Response) -> None:
+        """Record the winner (tracing only). A later attempt's timeline is
+        re-anchored at the *original* arrival, so the exact decomposition
+        covers the end-to-end latency (backoff lands in ``admission_s``)."""
+        self.resp = resp
+        req = resp.request
+        if req.tl is not None and req.attempt > 0:
+            self.tl = RequestTimeline(req.ctx)
+            self.tl.marks = dict(req.tl.marks)
+            self.tl.marks["arrive"] = req.arrival_s
+            self.note(req, "served")
+
+    def note(self, req: Request, status: str) -> None:
+        """Log how attempt ``req`` ended (a no-op when untraced)."""
+        if req.tl is not None:
+            self.alt += ((req.attempt, req.tl, status),)
+
+    def attempt_log(self) -> List[Tuple[int, RequestTimeline, str]]:
+        """Every recorded attempt as ``(attempt, timeline, status)``,
+        sorted by attempt (tracing only)."""
+        log = list(self.alt)
+        if self.resp is not None and self.resp.request.attempt == 0:
+            log.append((0, self.tl, "served"))
+        return sorted(log, key=lambda e: e[0])
+
+
+@dataclass(eq=False)
+class Batch:
+    """One dispatched execution: the ``complete`` event's payload, and
+    its machine's ``batch`` while in flight."""
+
+    bid: int
+    machine: MachineInstance
+    responses: List[Response]
+    finish_s: float
+    span: Optional[Any] = None
+    #: set when a crash cancelled it before its ``complete`` event
+    cancelled: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -250,41 +383,22 @@ class ProgramServer:
         #: the client's next request
         self.on_reject: List[Callable[["ProgramServer", Rejected],
                                       None]] = []
-        # True while the post-loop drain rejects stranded requests;
-        # on_reject hooks are muted then (the event loop is gone, a
-        # submission issued now could never run)
-        self._draining = False
         self.now = 0.0
         # resilience counters (all stay 0 on plain runs)
         self.retries = 0
         self.requeues = 0
         self.hedges_launched = 0
         self.hedges_wasted = 0
-        self.fault_counts: Dict[str, int] = {}
+        self.fault_counts: Counter = Counter()
         self._events: List[Tuple[float, int, str, Any]] = []
-        self._seq = 0
-        self._rid = 0
+        self._seq = itertools.count()
         self._bid = 0
         self._root = None
-        # request-level tracing state — populated only while a tracer is
-        # attached and enabled; the untraced path never touches it
+        # request timelines are recorded only while a tracer is attached
+        # and enabled; the untraced path never touches them
         self._tracing = tracer is not None and tracer.enabled
-        self._timelines: Dict[int, RequestTimeline] = {}
-        #: per-attempt timelines of retries / hedges / re-enqueues that
-        #: did not win, as (timeline, attempt, status) — tracing only
-        self._alt_tls: Dict[int, List[Tuple[RequestTimeline, int, str]]] = {}
-        # request/attempt accounting (the zero-lost-requests invariant:
-        # a rid leaves _open only into responses or rejected)
-        self._requests: Dict[int, Request] = {}
-        self._open: Dict[int, int] = {}
-        self._next_attempt: Dict[int, int] = {}
-        self._done: Set[int] = set()
-        self._rejected_rids: Set[int] = set()
-        self._executing: Set[int] = set()
-        self._hedged: Set[int] = set()
-        # fault/breaker state
-        self._inflight: Dict[int, Dict[str, Any]] = {}
-        self._cancelled: Set[int] = set()
+        #: one record per submitted request, keyed (and ordered) by rid
+        self._states: Dict[int, RequestState] = {}
         self._kernel_strikes: Dict[str, int] = {}
         self._app_attempts: Dict[str, int] = {}
         self._retry_left = (resilience.retry.budget
@@ -294,13 +408,10 @@ class ProgramServer:
         if resilience is not None and resilience.breaker is not None:
             self._breakers = {m.index: CircuitBreaker(resilience.breaker)
                               for m in self.machines}
-        # host-side memos: one functional execution per distinct
-        # (app, variant, payload, backend); one pricing per machine model
-        self._captures: Dict[Tuple[str, str, str, str], RunCapture] = {}
-        self._service: Dict[Tuple[str, str, str, str, str], float] = {}
-        #: pricing detail kept alongside ``_service`` for span grafting
-        #: (tracing only; empty on plain runs)
-        self._sims: Dict[Tuple[str, str, str, str, str], SimResult] = {}
+        #: host-side memo: the one real execution per distinct (app,
+        #: variant, payload key, backend) and its pricing per machine model
+        self._memo: Dict[Tuple[str, str, str, str],
+                         Tuple[RunCapture, Dict[str, SimResult]]] = {}
         self._payloads: Dict[Tuple[str, Optional[str]], Payload] = {}
 
     # -- request admission ----------------------------------------------
@@ -322,42 +433,33 @@ class ProgramServer:
         if app not in self.apps:
             raise KeyError(f"unknown app {app!r}; served apps: "
                            f"{sorted(self.apps)}")
-        req = Request(self._rid, app, payload or self.payload_for(app),
-                      at, client)
-        self._rid += 1
+        req = Request(len(self._states), app,
+                      payload or self.payload_for(app), at, client)
         if self.res is not None and self.res.deadline_s is not None:
             req.deadline_s = at + self.res.deadline_s
-        self._requests[req.rid] = req
-        self._open[req.rid] = 1
-        self._next_attempt[req.rid] = 1
         if self._tracing:
             req.ctx = RequestContext.derive(self.trace_seed, req.rid)
-            tl = RequestTimeline(req.ctx)
-            tl.mark("arrive", at)
-            req.tl = tl
-            self._timelines[req.rid] = tl
+            req.tl = RequestTimeline(req.ctx)
+            req.tl.mark("arrive", at)
+        self._states[req.rid] = RequestState(req)
         self._push(at, "arrive", req)
         return req
 
     def _push(self, t: float, kind: str, data: Any) -> None:
-        heapq.heappush(self._events, (t, self._seq, kind, data))
-        self._seq += 1
+        heapq.heappush(self._events, (t, next(self._seq), kind, data))
 
-    def _clone_attempt(self, req: Request, spawn_s: float,
+    def _clone_attempt(self, st: RequestState, spawn_s: float,
                        hedge: bool = False) -> Request:
-        """A fresh execution attempt for ``req``'s logical request:
-        same rid/payload/arrival (latency stays end-to-end), next
-        attempt index, its own per-attempt timeline."""
-        rid = req.rid
-        attempt = self._next_attempt[rid]
-        self._next_attempt[rid] = attempt + 1
-        clone = Request(rid, req.app, req.payload, req.arrival_s,
-                        req.client, ctx=req.ctx, attempt=attempt,
+        """The request's next execution attempt: same rid, payload and
+        arrival (latency stays end-to-end), its own timeline."""
+        req = st.req
+        clone = Request(req.rid, req.app, req.payload, req.arrival_s,
+                        req.client, ctx=req.ctx, attempt=st.attempts,
                         hedge=hedge, deadline_s=req.deadline_s)
+        st.attempts += 1
         if self._tracing:
-            tl = RequestTimeline(req.ctx)
-            tl.mark("arrive", spawn_s)
-            clone.tl = tl
+            clone.tl = RequestTimeline(req.ctx)
+            clone.tl.mark("arrive", spawn_s)
         return clone
 
     # -- the event loop --------------------------------------------------
@@ -366,9 +468,8 @@ class ProgramServer:
         if source is not None:
             source.prime(self)
         if self.tracer is not None and self.tracer.enabled:
-            attrs: Dict[str, Any] = {}
-            if self.faults is not None:
-                attrs["faults"] = len(self.faults.specs)
+            attrs = ({} if self.faults is None
+                     else {"faults": len(self.faults.specs)})
             self._root = self.tracer.begin_run(
                 "serve", backend=self.backend,
                 policy=getattr(self.policy, "name", "?"),
@@ -376,30 +477,17 @@ class ProgramServer:
                 max_wait_s=self.max_wait_s, **attrs)
         if self.faults is not None:
             self._schedule_faults()
+        handlers = {"arrive": self._on_arrive, "retry": self._on_retry,
+                    "hedge": self._on_hedge, "crash": self._on_crash,
+                    "recover": self._on_recover,
+                    "cache-fault": self._on_cache_fault,
+                    "complete": self._on_complete_event,
+                    # wake-ups: a batch window or breaker cooldown ended
+                    "flush": self._on_wake, "breaker": self._on_wake}
         while self._events:
             t, _, kind, data = heapq.heappop(self._events)
             self.now = t
-            if kind == "arrive":
-                self._on_arrive(data, t)
-            elif kind == "retry":
-                self._enqueue_attempt(data, t)
-                self._push(t + self.max_wait_s, "flush", None)
-                self._dispatch(t)
-            elif kind == "hedge":
-                self._on_hedge(data, t)
-            elif kind == "crash":
-                self._on_crash(data, t)
-            elif kind == "recover":
-                self.machines[data].down = False
-                self._dispatch(t)
-            elif kind == "breaker":
-                self._dispatch(t)
-            elif kind == "cache-fault":
-                self._on_cache_fault(data, t)
-            elif kind == "flush":
-                self._dispatch(t)
-            else:  # complete
-                self._on_complete_event(data, t)
+            handlers[kind](data, t)
         # zero-lost drain: anything still queued when the event loop
         # runs dry (replicas down for good, budget exhausted) leaves as
         # an explicit Rejected, never silently
@@ -440,10 +528,10 @@ class ProgramServer:
     def _on_arrive(self, req: Request, t: float) -> None:
         if (self.res is not None and self.res.shed_depth is not None
                 and len(self.queue) >= self.res.shed_depth):
-            self._count("shed")
-            self._attempt_ended(req, REJECT_SHED, t)
+            self.fault_counts["shed"] += 1
+            self._attempt_ended(req, "shed", REJECT_SHED, t)
             return
-        self.queue.push(req)
+        self.queue.push(req)  # its attempt is QUEUED since submit
         if self._tracing:
             req.tl.mark("enqueue", t)
         if self.metrics is not None:
@@ -455,24 +543,36 @@ class ProgramServer:
             self._push(t + self.res.hedge_delay_s, "hedge", req.rid)
         self._dispatch(t)
 
-    def _enqueue_attempt(self, req: Request, t: float) -> None:
+    def _on_wake(self, _data: Any, t: float) -> None:
+        self._dispatch(t)
+
+    def _on_recover(self, idx: int, t: float) -> None:
+        self.machines[idx].down = False
+        self._dispatch(t)
+
+    def _on_retry(self, req: Request, t: float) -> None:
+        """A retry's backoff ended: its attempt joins the queue."""
+        self._enqueue(req, t, "readmit")
+        self._push(t + self.max_wait_s, "flush", None)
+        self._dispatch(t)
+
+    def _enqueue(self, req: Request, t: float, event: str) -> None:
+        """Put an attempt in the admission queue through ``event``."""
+        self._states[req.rid].move(event)
         self.queue.push(req)
-        if self._tracing and req.tl is not None:
+        if self._tracing:
             req.tl.mark("enqueue", t)
 
     def _on_hedge(self, rid: int, t: float) -> None:
         """Hedge timer: duplicate the request if its attempt is still
         executing — first completion wins, the loser is dropped."""
-        if (rid in self._done or rid in self._rejected_rids
-                or rid in self._hedged or rid not in self._executing):
-            return
-        self._hedged.add(rid)
+        st = self._states[rid]
+        if st.outcome is not None or not st.live[EXECUTING]:
+            return  # answered, or not executing (queued, backing off)
         self.hedges_launched += 1
         if self.metrics is not None:
             self.metrics.inc("serve.hedges")
-        clone = self._clone_attempt(self._requests[rid], t, hedge=True)
-        self._open[rid] += 1
-        self._enqueue_attempt(clone, t)
+        self._enqueue(self._clone_attempt(st, t, hedge=True), t, "hedge")
         self._push(t + self.max_wait_s, "flush", None)
         self._dispatch(t)
 
@@ -481,91 +581,81 @@ class ProgramServer:
         (if any) is cancelled and every request re-enqueued."""
         m = self.machines[idx]
         m.down = True
-        self._count("crash")
+        self.fault_counts["crash"] += 1
         if self._breakers is not None:
             self._record_failure(idx, t)
-        inf = self._inflight.pop(idx, None)
-        if inf is not None:
-            self._cancelled.add(inf["bid"])
-            self._count("cancelled-batches")
+        batch, m.batch = m.batch, None
+        if batch is not None:
+            batch.cancelled = True
+            self.fault_counts["cancelled-batches"] += 1
             # the unfinished tail never ran: free the busy accounting
-            m.busy_s -= inf["finish"] - t
+            m.busy_s -= batch.finish_s - t
             m.busy_until = t
-            span = inf.get("span")
-            if span is not None:
-                span.dur_s = t - span.start_s
-                span.children.clear()
-                span.set(cancelled=True, cancelled_at_s=t)
-            for r in inf["requests"]:
-                self._executing.discard(r.rid)
+            if batch.span is not None:
+                batch.span.dur_s = t - batch.span.start_s
+                batch.span.children.clear()
+                batch.span.set(cancelled=True, cancelled_at_s=t)
+            for resp in batch.responses:
+                r = resp.request
+                st = self._states[r.rid]
                 if self._tracing and r.tl is not None:
-                    self._truncate_tl(r.tl, t)
-                    self._alt_tls.setdefault(r.rid, []).append(
-                        (r.tl, r.attempt, "requeued"))
-                if r.rid in self._done or r.rid in self._rejected_rids:
-                    self._open[r.rid] -= 1
+                    # clamp the cancelled attempt at the crash (fallback
+                    # batches pre-mark exec windows beyond it)
+                    r.tl.marks = {k: v for k, v in r.tl.marks.items()
+                                  if v <= t}
+                    r.tl.marks["complete"] = t
+                st.note(r, "requeued")
+                if st.outcome is not None:
+                    st.move("cancel")
                     continue
-                clone = self._clone_attempt(r, t)
                 self.requeues += 1
-                self._enqueue_attempt(clone, t)
+                self._enqueue(self._clone_attempt(st, t), t, "requeue")
             self._push(t + self.max_wait_s, "flush", None)
         self._dispatch(t)
 
     def _on_cache_fault(self, target: str, t: float) -> None:
         """Scripted compile-cache invalidation: evict the cache entries
-        and the server's host-side memos so the next request recompiles
+        and the server's host-side memo so the next request recompiles
         (surfacing as cache misses)."""
-        self._count("cache-invalidations")
-        self.cache.invalidate(None if target == "*" else target)
-        for memo, pos in ((self._captures, 0), (self._service, 1),
-                          (self._sims, 1)):
-            for k in [k for k in memo
-                      if target == "*" or k[pos] == target]:
-                del memo[k]
+        self.fault_counts["cache-invalidations"] += 1
+        self.cache.invalidate(target)
+        self._memo = {k: v for k, v in self._memo.items()
+                      if target not in ("*", k[0])}
 
-    def _on_complete_event(self, data: Tuple[Any, ...], t: float) -> None:
-        machine, bid, responses = data
-        if bid in self._cancelled:
-            # the batch was cancelled by a crash after this event was
+    def _on_complete_event(self, batch: Batch, t: float) -> None:
+        if batch.cancelled:
+            # a crash cancelled the batch after this event was
             # scheduled; its requests were already re-enqueued
-            self._cancelled.discard(bid)
             self._dispatch(t)
             return
-        self._inflight.pop(machine.index, None)
+        machine = batch.machine
+        if machine.batch is batch:
+            machine.batch = None
         if self._breakers is not None:
             self._breakers[machine.index].record(t, True)
         fresh = []
-        for r in responses:
-            rid = r.request.rid
-            self._executing.discard(rid)
-            self._open[rid] = self._open.get(rid, 1) - 1
-            if rid in self._done or rid in self._rejected_rids:
+        for r in batch.responses:
+            req = r.request
+            st = self._states[req.rid]
+            if not st.move("complete"):
                 # a hedge/requeue race: another attempt already won
                 self.hedges_wasted += 1
-                if self._tracing and r.request.tl is not None:
-                    self._alt_tls.setdefault(rid, []).append(
-                        (r.request.tl, r.request.attempt, "superseded"))
+                st.note(req, "superseded")
                 continue
-            self._done.add(rid)
-            fresh.append(r)
             if self._tracing:
-                self._finalize_timeline(r)
-        self.responses.extend(fresh)
-        if self.metrics is not None:
-            for r in fresh:
+                st.won(r)
+            fresh.append(r)
+            if self.metrics is not None:
                 self.metrics.observe("serve.latency_s", r.latency_s,
-                                     app=r.request.app)
-                self.metrics.observe("serve.queue_wait_s",
-                                     r.queue_wait_s)
+                                     app=req.app)
+                self.metrics.observe("serve.queue_wait_s", r.queue_wait_s)
+        self.responses.extend(fresh)
         for r in fresh:
             for hook in self.on_complete:
                 hook(self, r)
         self._dispatch(t)
 
     # -- rejection bookkeeping -------------------------------------------
-
-    def _count(self, key: str) -> None:
-        self.fault_counts[key] = self.fault_counts.get(key, 0) + 1
 
     def _record_failure(self, idx: int, now: float) -> None:
         """Feed a failure to the machine's breaker; if it trips (or
@@ -575,73 +665,46 @@ class ProgramServer:
         was_open = b.state == OPEN
         b.record(now, False)
         if b.state == OPEN and not was_open:
-            self._count("breaker-trips")
+            self.fault_counts["breaker-trips"] += 1
             if self.metrics is not None:
                 self.metrics.inc("serve.breaker.trips",
                                  machine=self.machines[idx].name)
             self._push(b.opened_at + b.config.cooldown_s, "breaker", None)
 
-    def _attempt_ended(self, req: Request, reason: str, t: float,
-                       status: Optional[str] = None) -> None:
+    def _attempt_ended(self, req: Request, event: str, reason: str,
+                       t: float, status: Optional[str] = None,
+                       notify: bool = True) -> None:
         """An attempt died without completing (shed / deadline / retry
         exhausted / shutdown). When it was the rid's last live attempt,
-        the request leaves as a typed ``Rejected``."""
-        rid = req.rid
-        self._open[rid] = self._open.get(rid, 1) - 1
-        if self._tracing and req.tl is not None:
-            self._alt_tls.setdefault(rid, []).append(
-                (req.tl, req.attempt, status or reason))
-        if (self._open[rid] <= 0 and rid not in self._done
-                and rid not in self._rejected_rids):
-            self._rejected_rids.add(rid)
+        the request leaves as a typed ``Rejected`` and ``on_reject``
+        hooks fire if ``notify``."""
+        st = self._states[req.rid]
+        rejected = st.move(event)
+        st.note(req, status or reason)
+        if rejected:
             self.rejected.append(Rejected(
-                rid, req.app, reason, t, arrival_s=req.arrival_s,
-                client=req.client, attempts=self._next_attempt.get(rid, 1)))
+                req.rid, req.app, reason, t, arrival_s=req.arrival_s,
+                client=req.client, attempts=st.attempts))
             if self.metrics is not None:
                 self.metrics.inc("serve.rejected", app=req.app,
                                  reason=reason)
-            if not self._draining:
+            if notify:
                 for hook in self.on_reject:
                     hook(self, self.rejected[-1])
 
     def _drain_unserved(self) -> None:
-        self._draining = True
-        try:
-            for r in self.queue.drain():
-                self._attempt_ended(r, REJECT_UNSERVED, self.now)
-        finally:
-            self._draining = False
+        # on_reject hooks stay muted: the event loop is gone, so a
+        # submission issued now could never run
+        for r in self.queue.drain():
+            self._attempt_ended(r, "expire", REJECT_UNSERVED, self.now,
+                                notify=False)
+        stuck = [rid for rid, st in self._states.items()
+                 if st.outcome is None]
+        if stuck:
+            raise IllegalTransition(f"requests {stuck[:8]} are still open "
+                                    f"after the event loop drained")
 
     # -- tracing helpers --------------------------------------------------
-
-    @staticmethod
-    def _truncate_tl(tl: RequestTimeline, t: float) -> None:
-        """Clamp a cancelled attempt's timeline at the cancel instant
-        (fallback batches pre-mark staggered exec windows that may lie
-        beyond the crash)."""
-        for stage in list(tl.marks):
-            if tl.marks[stage] > t:
-                del tl.marks[stage]
-        tl.marks["complete"] = t
-
-    def _finalize_timeline(self, resp: Response) -> None:
-        """Install the winning attempt's timeline as the request's
-        timeline. Later attempts re-anchor ``arrive`` at the *original*
-        arrival so the exact decomposition identity covers the full
-        end-to-end latency (backoff and failed attempts land in
-        ``admission_s``); the per-attempt view stays available through
-        ``attempt_timelines_of``."""
-        req = resp.request
-        if req.tl is None:
-            return
-        if req.attempt > 0:
-            final = RequestTimeline(req.ctx)
-            final.marks = dict(req.tl.marks)
-            final.marks["arrive"] = req.arrival_s
-            self._timelines[req.rid] = final
-            self._alt_tls.setdefault(req.rid, []).append(
-                (req.tl, req.attempt, "served"))
-        # attempt 0: self._timelines[rid] already is req.tl
 
     def _emit_request_spans(self) -> None:
         """Per-request lifecycle spans (arrive → complete) with queue and
@@ -649,15 +712,11 @@ class ProgramServer:
         request via ``batch_id`` (the exporter turns that into flow
         arrows). Called once after the event loop drains."""
         for resp in sorted(self.responses, key=lambda r: r.request.rid):
-            req = resp.request
-            ctx = req.ctx
-            tl = self._timelines.get(req.rid)
-            if ctx is None or tl is None:
+            req, ctx = resp.request, resp.request.ctx
+            tl = self._states[req.rid].tl
+            if tl is None:
                 continue
-            t0 = tl.get("arrive")
-            t_end = tl.get("complete")
-            if t0 is None or t_end is None:
-                continue
+            t0, t_end = tl.get("arrive"), tl.get("complete")
             attrs = {f"{stage}_s": t for stage, t in tl.ordered()}
             if req.attempt > 0:
                 attrs["attempts"] = req.attempt + 1
@@ -669,8 +728,7 @@ class ProgramServer:
                 lane_packed=resp.lane_packed, machine=resp.machine,
                 backend=resp.backend, fallback=resp.fallback_reason,
                 latency_s=resp.latency_s, **attrs)
-            t_q0 = tl.get("enqueue")
-            t_disp = tl.get("dispatch")
+            t_q0, t_disp = tl.get("enqueue"), tl.get("dispatch")
             if t_q0 is not None and t_disp is not None:
                 rsp.child("queued", "queue", t_q0, t_disp - t_q0,
                           rid=req.rid)
@@ -684,25 +742,16 @@ class ProgramServer:
         process) for every request that needed more than one — retries,
         hedges, crash re-enqueues — indexed by attempt and labelled
         with how that attempt ended."""
-        if not self._alt_tls:
-            return
-        by_rid = {r.request.rid: r for r in self.responses}
-        for rid in sorted(self._alt_tls):
-            resp = by_rid.get(rid)
-            entries = list(self._alt_tls[rid])
-            win_end: Optional[float] = None
-            if resp is not None:
-                win_end = resp.finish_s
-                if resp.request.attempt == 0 and resp.request.tl is not None:
-                    entries.append((resp.request.tl, 0, "served"))
-            for tl, attempt, status in sorted(entries, key=lambda e: e[1]):
+        for rid, st in self._states.items():
+            if not st.alt:
+                continue
+            for attempt, tl, status in st.attempt_log():
                 times = [t for _, t in tl.ordered()]
                 if not times:
                     continue
-                t1 = max(times)
-                if win_end is not None:
-                    t1 = min(t1, win_end)
-                t1 = min(t1, makespan)
+                t1 = min(max(times), makespan)
+                if st.resp is not None:
+                    t1 = min(t1, st.resp.finish_s)
                 t0 = min(min(times), t1)
                 self._root.child(
                     f"r{rid}:a{attempt}", "attempt", t0, t1 - t0,
@@ -716,9 +765,8 @@ class ProgramServer:
             for t0, t1 in self.faults.crash_windows(m.label, m.name):
                 if t0 >= makespan:
                     continue
-                t1 = min(t1, makespan)
                 self._root.child(
-                    f"crash:{m.label}", "fault", t0, t1 - t0,
+                    f"crash:{m.label}", "fault", t0, min(t1, makespan) - t0,
                     machine=m.index, machine_name=m.name, fault="crash")
 
     def resilience_summary(self) -> Optional[Dict[str, Any]]:
@@ -727,9 +775,7 @@ class ProgramServer:
         config was active (so plain reports stay byte-identical)."""
         if self.faults is None and self.res is None:
             return None
-        by_reason: Dict[str, int] = {}
-        for j in self.rejected:
-            by_reason[j.reason] = by_reason.get(j.reason, 0) + 1
+        by_reason = Counter(j.reason for j in self.rejected)
         out: Dict[str, Any] = {
             "rejected": len(self.rejected),
             "rejected_by_reason": dict(sorted(by_reason.items())),
@@ -749,35 +795,26 @@ class ProgramServer:
 
     def timeline_of(self, rid: int) -> Optional[RequestTimeline]:
         """The recorded lifecycle timeline for a request (tracing only)."""
-        return self._timelines.get(rid)
+        st = self._states.get(rid)
+        return None if st is None else st.tl
 
     def attempt_timelines_of(self, rid: int
                              ) -> List[Tuple[int, str, RequestTimeline]]:
         """All recorded per-attempt timelines for a request, as
         ``(attempt, status, timeline)`` sorted by attempt — the
         per-attempt decomposition input (tracing only)."""
-        out = [(a, status, tl)
-               for tl, a, status in self._alt_tls.get(rid, [])]
-        for r in self.responses:
-            if r.request.rid == rid and r.request.tl is not None:
-                if r.request.attempt == 0 or not any(
-                        a == r.request.attempt for a, _, _ in out):
-                    out.append((r.request.attempt, "served", r.request.tl))
-        return sorted(out, key=lambda e: e[0])
+        st = self._states.get(rid)
+        return [] if st is None else [(a, status, tl) for a, tl, status
+                                      in st.attempt_log()]
 
     # -- dispatch ---------------------------------------------------------
 
-    def _machine_available(self, m: MachineInstance, now: float) -> bool:
-        if m.busy_until > now + 1e-15 or m.down:
-            return False
-        if self._breakers is not None:
-            return self._breakers[m.index].allow(now)
-        return True
-
     def _dispatch(self, now: float) -> None:
+        breakers = self._breakers
         while True:
             idle = [m for m in self.machines
-                    if self._machine_available(m, now)]
+                    if m.busy_until <= now + 1e-15 and not m.down
+                    and (breakers is None or breakers[m.index].allow(now))]
             if not idle:
                 return
             key = self.queue.next_ready(now, self.max_batch, self.max_wait_s)
@@ -785,38 +822,37 @@ class ProgramServer:
                 return
             requests = self.queue.take(key, self.max_batch)
             if self.res is not None and self.res.deadline_s is not None:
-                live = []
-                for r in requests:
-                    if (r.deadline_s is not None
-                            and now >= r.deadline_s - 1e-15):
-                        self._count("deadline")
-                        self._attempt_ended(r, REJECT_DEADLINE, now)
-                    else:
-                        live.append(r)
-                if not live:
+                late = [r for r in requests
+                        if now >= r.deadline_s - 1e-15]
+                for r in late:
+                    self.fault_counts["deadline"] += 1
+                    self._attempt_ended(r, "expire", REJECT_DEADLINE, now)
+                requests = [r for r in requests if r not in late]
+                if not requests:
                     continue
-                requests = live
+            machine = self.policy.place(self, idle, requests, now)
+            for r in requests:
+                self._states[r.rid].move("dispatch")
             if self._tracing:
                 for r in requests:
                     r.tl.mark("seal", now)
-            machine = self.policy.place(self, idle, requests, now)
-            if self._tracing:
-                for r in requests:
                     r.tl.mark("dispatch", now)
             self._execute_batch(machine, requests, now)
 
     # -- execution --------------------------------------------------------
 
-    def _capture(self, app: str, variant: str,
-                 payload: Payload) -> RunCapture:
-        ckey = (app, variant, payload.key, self.backend)
-        cap = self._captures.get(ckey)
-        if cap is None:
+    def _execution(self, app: str, variant: str, payload: Payload,
+                   backend: str) -> Tuple[RunCapture, Dict[str, SimResult]]:
+        """The memoized real execution of ``app`` on ``payload`` and its
+        pricings so far, keyed by machine model name."""
+        key = (app, variant, payload.key, backend)
+        memo = self._memo.get(key)
+        if memo is None:
             entry = self.cache.get(app, variant)
             cap = capture_run(entry.compiled, payload.inputs,
-                              backend=self.backend,
+                              backend=backend,
                               profile_host=self.metrics is not None)
-            self._captures[ckey] = cap
+            memo = self._memo[key] = (cap, {})
             if self.metrics is not None:
                 # host wall-clock of the one real execution behind this
                 # capture — calibration data for the cost model, kept in
@@ -824,65 +860,34 @@ class ProgramServer:
                 for lname, secs in sorted(cap.host_loop_s.items()):
                     self.metrics.observe("serve.capture_host_s", secs,
                                          app=app, loop=lname)
-        return cap
+        return memo
 
     def _price(self, machine: MachineInstance, app: str,
-               cap: RunCapture, payload: Payload) -> float:
-        skey = (machine.name, app, machine.variant, payload.key,
-                cap.backend)
-        svc = self._service.get(skey)
-        if svc is None:
+               memo: Tuple[RunCapture, Dict[str, SimResult]]) -> SimResult:
+        cap, sims = memo
+        sim = sims.get(machine.name)
+        if sim is None:
             served = self.apps[app]
             entry = self.cache.get(app, machine.variant)
             opts = ExecOptions(scale=served.scale,
                                data_scale=served.data_scale,
                                use_gpu=machine.use_gpu,
                                gpu_transposed=machine.use_gpu)
-            sim = Simulator(entry.compiled, machine.cluster, machine.profile,
-                            opts).price(cap)
-            svc = sim.total_seconds
-            self._service[skey] = svc
-            if self._tracing:
-                # keep the per-loop pricing detail so batch spans can
-                # graft loop children (see ``_execute_batch``)
-                self._sims[skey] = sim
-        return svc
+            sim = sims[machine.name] = Simulator(
+                entry.compiled, machine.cluster, machine.profile,
+                opts).price(cap)
+        return sim
 
     def predict_service(self, machine: MachineInstance, app: str,
                         payload: Payload) -> float:
         """Per-request service time on ``machine`` (placement input)."""
         try:
-            cap = self._capture(app, machine.variant, payload)
+            memo = self._execution(app, machine.variant, payload,
+                                   self.backend)
         except Exception:
-            cap = self._reference_capture(app, machine.variant, payload)
-        return self._price(machine, app, cap, payload)
-
-    def _reference_capture(self, app: str, variant: str,
-                           payload: Payload) -> RunCapture:
-        ckey = (app, variant, payload.key, "reference")
-        cap = self._captures.get(ckey)
-        if cap is None:
-            entry = self.cache.get(app, variant)
-            cap = capture_run(entry.compiled, payload.inputs,
-                              backend="reference")
-            self._captures[ckey] = cap
-        return cap
-
-    def _degrade_check(self, app: str, now: float) -> None:
-        """Repeated kernel faults permanently route the app to the
-        reference path, with a provenance Decision recording why."""
-        strikes = self._kernel_strikes[app]
-        limit = self.res.degrade_after if self.res is not None else 3
-        if strikes >= limit and app not in self.degraded:
-            reason = (f"{strikes} consecutive kernel faults; serving "
-                      f"from the reference interpreter")
-            self.degraded[app] = reason
-            self._count("degraded-apps")
-            self.ledger.record(DecisionKind.SERVE_DEGRADE, f"serve:{app}",
-                               APPLIED, reason, strikes=strikes,
-                               at_s=now)
-            if self.metrics is not None:
-                self.metrics.inc("serve.degraded", app=app)
+            memo = self._execution(app, machine.variant, payload,
+                                   "reference")
+        return self._price(machine, app, memo).total_seconds
 
     def _fail_batch(self, machine: MachineInstance, requests: List[Request],
                     now: float, bid: int, reason: str) -> None:
@@ -900,33 +905,27 @@ class ProgramServer:
                 reason=reason)
         rp = self.res.retry if self.res is not None else None
         for r in requests:
-            self._executing.discard(r.rid)
             if self._tracing and r.tl is not None:
                 r.tl.mark("complete", now)
             nxt = r.attempt + 1
             if (rp is not None and nxt < rp.max_attempts
                     and self._retry_left > 0):
+                st = self._states[r.rid]
+                st.move("retry")
                 self._retry_left -= 1
                 self.retries += 1
-                if self._tracing and r.tl is not None:
-                    self._alt_tls.setdefault(r.rid, []).append(
-                        (r.tl, r.attempt, "failed"))
+                st.note(r, "failed")
                 delay = rp.delay_s(self.trace_seed, r.rid, nxt)
-                clone = self._clone_attempt(r, now)
-                self._push(now + delay, "retry", clone)
+                self._push(now + delay, "retry", self._clone_attempt(st, now))
             else:
-                self._attempt_ended(r, REJECT_RETRIES, now,
+                self._attempt_ended(r, "fail", REJECT_RETRIES, now,
                                     status="failed")
 
     def _execute_batch(self, machine: MachineInstance,
                        requests: List[Request], now: float) -> None:
-        app = requests[0].app
-        payload = requests[0].payload
-        n = len(requests)
+        app, payload, n = requests[0].app, requests[0].payload, len(requests)
         bid = self._bid
         self._bid += 1
-        for r in requests:
-            self._executing.add(r.rid)
         if self._breakers is not None:
             # a half-open breaker's probe is in flight from placement on
             self._breakers[machine.index].on_dispatch(now)
@@ -936,7 +935,8 @@ class ProgramServer:
             fallback_reason = f"degraded: {self.degraded[app]}"
         elif self.backend == "numpy":
             try:
-                cap = self._capture(app, machine.variant, payload)
+                memo = self._execution(app, machine.variant, payload,
+                                       "numpy")
             except Exception as exc:  # recorded, never silent
                 fallback_reason = f"numpy execution failed: {exc}"
         else:
@@ -948,16 +948,28 @@ class ProgramServer:
             self._app_attempts[app] = attempt_no + 1
             spec = self.faults.kernel_fault(app, now, attempt_no)
             if spec is not None:
-                self._kernel_strikes[app] = \
-                    self._kernel_strikes.get(app, 0) + 1
-                self._degrade_check(app, now)
+                strikes = self._kernel_strikes.get(app, 0) + 1
+                self._kernel_strikes[app] = strikes
+                limit = self.res.degrade_after if self.res is not None else 3
+                if strikes >= limit and app not in self.degraded:
+                    # repeated kernel faults route the app to the
+                    # reference path for good, with a Decision saying why
+                    why = (f"{strikes} consecutive kernel faults; serving "
+                           f"from the reference interpreter")
+                    self.degraded[app] = why
+                    self.fault_counts["degraded-apps"] += 1
+                    self.ledger.record(DecisionKind.SERVE_DEGRADE,
+                                       f"serve:{app}", APPLIED, why,
+                                       strikes=strikes, at_s=now)
+                    if self.metrics is not None:
+                        self.metrics.inc("serve.degraded", app=app)
                 if spec.mode == "error":
-                    self._count("kernel-error")
+                    self.fault_counts["kernel-error"] += 1
                     self._fail_batch(machine, requests, now, bid,
                                      f"fault-injected kernel error "
                                      f"(target {spec.target!r})")
                     return
-                self._count("kernel-fallback")
+                self.fault_counts["kernel-fallback"] += 1
                 fallback_reason = (f"fault-injected kernel failure "
                                    f"(target {spec.target!r})")
             else:
@@ -966,44 +978,38 @@ class ProgramServer:
         slow = (self.faults.slow_factor(machine.label, machine.name, now)
                 if self.faults is not None else 1.0)
         if slow != 1.0:
-            self._count("slowed-batches")
+            self.fault_counts["slowed-batches"] += 1
 
-        mname = machine.label
-        if fallback_reason is None:
-            # lane-packed path: ONE execution serves every request in
-            # the group — its lanes are the batch
-            svc = self._price(machine, app, cap, payload) * slow
-            finish = now + svc
-            responses = [Response(r, cap.results, cap.stats, cap.backend,
-                                  bid, n, now, finish, lane_packed=n > 1,
-                                  machine=mname)
-                         for r in requests]
-            if self._tracing:
-                for r in requests:
-                    r.tl.mark("exec_start", now)
-                    r.tl.mark("complete", finish)
-            if self.metrics is not None and n > 1:
-                self.metrics.inc("serve.lane_packed_requests", n, app=app)
-        else:
-            cap = self._reference_capture(app, machine.variant, payload)
-            single = self._price(machine, app, cap, payload) * slow
-            svc = single * n
-            responses = [Response(r, cap.results, cap.stats, cap.backend,
-                                  bid, n, now, now + single * (i + 1),
-                                  lane_packed=False,
-                                  fallback_reason=fallback_reason,
-                                  machine=mname)
-                         for i, r in enumerate(requests)]
-            if self._tracing:
-                # fallback executions run back-to-back, so each request's
-                # exec window is its own slot in the serialized batch
-                for i, r in enumerate(requests):
-                    r.tl.mark("exec_start", now + single * i)
-                    r.tl.mark("complete", now + single * (i + 1))
-            finish = now + svc
+        # lane-packed: ONE execution serves every request in the group
+        # (its lanes are the batch); a fallback runs the reference
+        # execution once per request, back-to-back
+        packed = fallback_reason is None
+        if not packed:
+            memo = self._execution(app, machine.variant, payload,
+                                   "reference")
+        cap = memo[0]
+        sim = self._price(machine, app, memo)
+        single = sim.total_seconds * slow
+        svc = single if packed else single * n
+        finish = now + svc
+        windows = ([(now, finish)] * n if packed else
+                   [(now + single * i, now + single * (i + 1))
+                    for i in range(n)])
+        label, lanes = machine.label, packed and n > 1
+        responses = [Response(r, cap.results, cap.stats, cap.backend, bid, n,
+                              now, end, lane_packed=lanes,
+                              fallback_reason=fallback_reason, machine=label)
+                     for r, (_start, end) in zip(requests, windows)]
+        if self._tracing:
+            for r, (start, end) in zip(requests, windows):
+                r.tl.mark("exec_start", start)
+                r.tl.mark("complete", end)
+        if not packed:
             self.fallbacks.append(ServeFallback(app, fallback_reason, n))
             if self.metrics is not None:
                 self.metrics.inc("serve.fallback", app=app)
+        elif self.metrics is not None and n > 1:
+            self.metrics.inc("serve.lane_packed_requests", n, app=app)
 
         machine.busy_until = finish
         machine.busy_s += svc
@@ -1015,20 +1021,15 @@ class ProgramServer:
                                  machine=machine.name)
         bsp = None
         if self._root is not None:
-            extra: Dict[str, Any] = {}
-            if slow != 1.0:
-                extra["slow_factor"] = slow
+            extra = {"slow_factor": slow} if slow != 1.0 else {}
             bsp = self._root.child(
                 f"b{bid}:{app}x{n}", "batch", now, svc,
                 machine=machine.index, machine_name=machine.name,
                 app=app, batch=n, batch_id=bid,
-                lane_packed=fallback_reason is None and n > 1,
+                lane_packed=packed and n > 1,
                 backend=cap.backend, service_s=svc,
                 fallback=fallback_reason, **extra)
-            skey = (machine.name, app, machine.variant, payload.key,
-                    cap.backend)
-            sim = self._sims.get(skey)
-            if sim is not None and fallback_reason is None:
+            if packed:
                 # graft the priced per-loop breakdown under the batch
                 # span, pinned to the *serving* replica's track (the
                 # memoized pricing carries its own machine indices,
@@ -1043,8 +1044,6 @@ class ProgramServer:
                               comm_s=loop.comm_s,
                               overhead_s=loop.overhead_s)
                     cursor += loop.time_s
-        if self.faults is not None or self.res is not None:
-            self._inflight[machine.index] = {
-                "bid": bid, "requests": requests, "span": bsp,
-                "finish": finish}
-        self._push(finish, "complete", (machine, bid, responses))
+        batch = Batch(bid, machine, responses, finish, bsp)
+        machine.batch = batch
+        self._push(finish, "complete", batch)

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..obs.analyze import decomposition_summary
 from .cache import ProgramCache
 from .scheduler import ProgramServer, ServedApp, make_machines
 
@@ -325,7 +326,8 @@ class ServeSim:
             by_app.setdefault(r.request.app, []).append(r.latency_s)
             by_machine.setdefault(r.machine or "?", []).append(r.latency_s)
         batch_sizes = list(seen.values())
-        rejected = getattr(server, "rejected", [])
+        rejected = server.rejected
+        traced = server.tracer is not None and server.tracer.enabled
         total = len(responses) + len(rejected)
         resilience = server.resilience_summary()
         if resilience is not None:
@@ -355,14 +357,8 @@ class ServeSim:
             latencies_s=lats,
             latency_by_app=latency_breakdown(by_app),
             latency_by_machine=latency_breakdown(by_machine),
-            decomposition=ServeSim._decomposition_of(server),
+            # timelines exist only on traced runs; untraced reports
+            # carry no decomposition section (and pay no analysis cost)
+            decomposition=(decomposition_summary(server) if traced
+                           else None),
             resilience=resilience)
-
-    @staticmethod
-    def _decomposition_of(server: ProgramServer) -> Optional[Dict[str, Any]]:
-        # timelines exist only on traced runs; untraced reports carry no
-        # decomposition section (and pay no analysis cost)
-        if not getattr(server, "_timelines", None):
-            return None
-        from ..obs.analyze import decomposition_summary
-        return decomposition_summary(server)

@@ -15,6 +15,8 @@ import math
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tools
 from repro.bench import get_bundle
@@ -134,6 +136,10 @@ class TestCriticalPathReal:
 # exact latency decomposition
 # ---------------------------------------------------------------------------
 
+#: lifecycle marks in order, bounding the decomposition components
+STAGES = ("arrive", "enqueue", "seal", "dispatch", "exec_start", "complete")
+
+
 def timeline(**marks):
     tl = RequestTimeline(RequestContext.derive(0, 0))
     for stage, t in marks.items():
@@ -169,6 +175,38 @@ class TestDecomposition:
                           complete=base + math.pi / 3)
             comps = decompose_timeline(tl)
             assert sum(comps[c] for c in COMPONENTS) == comps["latency_s"]
+
+    def test_identity_exact_when_prefix_is_off_latency_grid(self):
+        # the accumulated prefix carries a bit below ulp(latency), so no
+        # remainder alone can close the sum
+        a, s = 0.0005370435771034239, 0.004715113227129924
+        tl = timeline(arrive=a, enqueue=a, seal=s, dispatch=s,
+                      exec_start=s, complete=0.012646808584272782)
+        comps = decompose_timeline(tl)
+        assert sum(comps[c] for c in COMPONENTS) == comps["latency_s"]
+        ulp = math.ulp(comps["latency_s"])
+        assert abs(comps["batch_window_s"] - (s - a)) <= ulp
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 10.0),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                              st.floats(0.0, 0.01), st.floats(0.0, 1e-6)),
+                    min_size=5, max_size=5))
+    def test_identity_exact_on_random_monotone_marks(self, arrive, steps):
+        marks = {"arrive": arrive}
+        t = arrive
+        for stage, step in zip(STAGES[1:], steps):
+            t += step
+            marks[stage] = t
+        comps = decompose_timeline(timeline(**marks))
+        latency = comps["latency_s"]
+        assert sum(comps[c] for c in COMPONENTS) == latency
+        # each interval is its mark difference up to one ulp of latency;
+        # the remainder also absorbs the rounding of the prefix sum
+        ulp = math.ulp(latency)
+        for comp, (lo, hi) in zip(COMPONENTS, zip(STAGES, STAGES[1:])):
+            bound = 2 * ulp if comp == "execution_s" else ulp
+            assert abs(comps[comp] - (marks[hi] - marks[lo])) <= bound
 
     def test_missing_bounding_marks(self):
         assert decompose_timeline(timeline(arrive=0.0)) is None

@@ -128,6 +128,18 @@ class TestFaultPlan:
         assert plan.slow_factor("numa[1]", "numa", 0.5) == 2.0
         assert plan.slow_factor("numa[1]", "numa", 2.0) == 1.0
 
+    def test_overlapping_crash_windows_merge(self):
+        plan = FaultPlan((
+            FaultSpec("crash", "numa[0]", t0_s=0.004, t1_s=0.048),
+            FaultSpec("crash", "numa[0]", t0_s=0.007),
+            FaultSpec("crash", "numa", t0_s=0.1, t1_s=0.2),
+            FaultSpec("crash", "numa", t0_s=0.2, t1_s=0.3),  # touches
+        ))
+        assert plan.crash_windows("numa[0]", "numa") == [
+            (0.004, math.inf)]
+        assert plan.crash_windows("numa[1]", "numa") == [
+            (0.1, 0.2), (0.2, 0.3)]
+
     def test_last_disruption_prefers_finite_ends(self):
         plan = FaultPlan((
             FaultSpec("crash", "m", t0_s=0.01, t1_s=0.03),
@@ -289,6 +301,46 @@ class TestOutageEndToEnd:
             {"failed", "served", "requeued", "superseded"}
         faults = [e for e in events if e.get("cat") == "fault"]
         assert any(e["args"].get("fault") == "crash" for e in faults)
+
+
+class TestChaosRegressions:
+    def test_overlapping_crash_windows_never_resurrect(self, tmp_path):
+        # the first window's end used to bring numa[0] back while the
+        # second (permanent) window still held it down
+        from repro.obs import write_chrome_trace
+        plan = FaultPlan((
+            FaultSpec("crash", "numa[0]", t0_s=0.004, t1_s=0.048),
+            FaultSpec("crash", "numa[0]", t0_s=0.007)))
+        tr = Tracer()
+        sim = ServeSim(["q1"], machines="numa", backend="numpy",
+                       max_wait_s=0.001, faults=plan, tracer=tr)
+        rep = sim.run_open(2000, 30, seed=0)
+        assert rep.requests == 0 and rep.rejected == 30
+        assert rep.resilience["fault_counts"]["crash"] == 1
+        path = tmp_path / "trace.json"
+        write_chrome_trace(str(path), tr)
+        assert validate_file(str(path)) == []
+
+    def test_hedge_outliving_requeued_primary_trace_validates(self,
+                                                              tmp_path):
+        from repro.obs import write_chrome_trace
+        tr = Tracer()
+        sim = ServeSim(["q1", "kmeans"], machines="numa*2,gpunode",
+                       backend="numpy", max_batch=3, max_wait_s=0.001,
+                       policy="least-loaded", payloads=2,
+                       faults=FaultPlan((FaultSpec(
+                           "crash", "gpunode[2]", t0_s=0.017,
+                           t1_s=0.021),)),
+                       resilience=ResilienceConfig(hedge_delay_s=0.001),
+                       tracer=tr)
+        sim.run_open(20000, 16, seed=1)
+        path = tmp_path / "trace.json"
+        write_chrome_trace(str(path), tr)
+        assert validate_file(str(path)) == []
+        # the partially overlapping attempt moved to its own track
+        names = [e["args"]["name"] for e in chrome_trace_events(tr)
+                 if e.get("ph") == "M" and e.get("pid") == 3]
+        assert any(n.endswith("attempts (2)") for n in names)
 
 
 # ---------------------------------------------------------------------------

@@ -208,16 +208,86 @@ class TestFallback:
         server = ProgramServer([served], max_batch=2, max_wait_s=0.0,
                                backend="numpy")
 
-        def boom(app, variant, payload):
-            raise RuntimeError("lane explosion")
+        from repro.serve import scheduler
+        real = scheduler.capture_run
 
-        monkeypatch.setattr(server, "_capture", boom)
+        def boom(compiled, inputs, backend=None, **kwargs):
+            if backend == "numpy":
+                raise RuntimeError("lane explosion")
+            return real(compiled, inputs, backend=backend, **kwargs)
+
+        monkeypatch.setattr(scheduler, "capture_run", boom)
         server.submit("q1", at=0.0)
         (r,) = server.run()
         assert r.backend == "reference"
         assert "lane explosion" in r.fallback_reason
         assert len(server.fallbacks) == 1
         assert "lane explosion" in server.fallbacks[0].reason
+
+
+# ---------------------------------------------------------------------------
+# the request lifecycle record
+# ---------------------------------------------------------------------------
+
+class TestRequestState:
+    def state(self):
+        from repro.serve.scheduler import RequestState
+        payload = make_payload({"x": 1})
+        return RequestState(Request(0, "q1", payload, 0.0))
+
+    def test_happy_path_decides_once(self):
+        st = self.state()
+        assert not st.move("dispatch")
+        assert st.move("complete") and st.outcome == "done"
+        assert st.live == [0, 0, 0]
+
+    def test_hedge_loser_drains_after_the_win(self):
+        st = self.state()
+        st.move("dispatch")
+        st.move("hedge")
+        st.move("dispatch")
+        assert st.move("complete")          # the winner decides
+        assert not st.move("complete")      # the loser only drains
+        assert st.outcome == "done" and st.live == [0, 0, 0]
+
+    def test_retry_backs_off_then_rejoins(self):
+        st = self.state()
+        st.move("dispatch")
+        assert not st.move("retry") and st.live == [0, 0, 1]
+        st.move("readmit")
+        st.move("dispatch")
+        assert st.move("fail") and st.outcome == "rejected"
+
+    def test_last_attempt_ending_rejects(self):
+        st = self.state()
+        assert st.move("expire") and st.outcome == "rejected"
+
+    def test_illegal_transitions_raise_where_they_happen(self):
+        from repro.serve.scheduler import IllegalTransition
+        st = self.state()
+        with pytest.raises(IllegalTransition, match="no attempt"):
+            st.move("complete")             # nothing is executing
+        with pytest.raises(IllegalTransition, match="no attempt"):
+            st.move("readmit")              # nothing is backing off
+        st.move("expire")
+        with pytest.raises(IllegalTransition, match="rejected"):
+            st.move("dispatch")             # nothing follows a rejection
+        won = self.state()
+        won.move("dispatch")
+        won.move("complete")
+        with pytest.raises(IllegalTransition, match="done"):
+            won.move("hedge")               # no new attempts once served
+
+    def test_server_raises_on_a_lost_request(self):
+        from repro.serve.scheduler import IllegalTransition
+        served = ServedApp.from_bundle("q1")
+        server = ProgramServer([served], backend="numpy")
+        server.submit("q1", at=0.0)
+        # an event loop that forgets the arrival strands the request,
+        # which the post-drain check refuses to let pass silently
+        server._events.clear()
+        with pytest.raises(IllegalTransition, match="still open"):
+            server.run()
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +565,11 @@ class TestServeTracing:
         sim = ServeSim(["q1"], backend="numpy")
         sim.run_closed(clients=2, requests=6, seed=0)
         server = sim.last_server
-        assert server._timelines == {} and server._sims == {}
-        assert all(r.request.ctx is None for r in server.responses)
+        assert len(server.responses) == 6
+        for r in server.responses:
+            assert r.request.ctx is None and r.request.tl is None
+            assert server.timeline_of(r.request.rid) is None
+            assert server.attempt_timelines_of(r.request.rid) == []
 
 
 # ---------------------------------------------------------------------------
