@@ -38,9 +38,10 @@ from ..core.multiloop import GenKind, Generator, MultiLoop
 from ..core.ops import PRIMS
 from ..core.values import Buckets
 from ..obs.provenance import FALLBACK, VECTORIZED, DecisionKind, emit
-from .vectorize import (ASSOC_UFUNCS, ArrVec, LoopVectorizer, Rows, StatsDelta,
-                        SVec, VecError, as_lane_vec, host_key, is_vec,
-                        plan_loop, recognize_assoc_prim, vec_take, vec_where)
+from .vectorize import (ASSOC_UFUNCS, ArrVec, LoopVectorizer, Rows, RowSel,
+                        StatsDelta, SVec, VecError, as_lane_vec, host_key,
+                        is_vec, plan_loop, recognize_assoc_prim, vec_take,
+                        vec_where)
 
 
 @dataclass
@@ -162,6 +163,8 @@ class NumpyInterp(Interp):
                     for f, (_, ft) in zip(v.fields, tpe.fields)]
             return [tuple(t) for t in zip(*cols)] if cols else [()] * k
         if isinstance(tpe, (T.Coll, T.KeyedColl)):
+            if isinstance(v, RowSel):
+                v = vec_take(v.base, v.sel)
             if isinstance(v, Rows):
                 return [v.base[i] for i in v.idx[lanes].tolist()]
             if isinstance(v, ArrVec):
@@ -170,11 +173,19 @@ class NumpyInterp(Interp):
                     return [row.tolist() for row in data]
                 lens = v.lengths[lanes]
                 return [data[i, : lens[i]].tolist() for i in range(k)]
-            et = T.element_type(tpe)
+            # columnar structs at any collection depth: convert each
+            # field at that depth and zip the fields back into tuples
+            et, depth = T.element_type(tpe), 1
+            while isinstance(et, T.Coll):
+                et, depth = T.element_type(et), depth + 1
             if isinstance(v, SVec) and isinstance(et, T.Struct):
-                cols = [self.to_host(f, lanes, T.Coll(ft))
-                        for f, (_, ft) in zip(v.fields, et.fields)]
-                return [list(zip(*per_lane)) for per_lane in zip(*cols)]
+                cols = []
+                for f, (_, ft) in zip(v.fields, et.fields):
+                    for _ in range(depth):
+                        ft = T.Coll(ft)
+                    cols.append(self.to_host(f, lanes, ft))
+                return [_zip_fields(per_lane, depth)
+                        for per_lane in zip(*cols)]
         raise VecError(
             f"cannot convert {type(v).__name__} to host {tpe!r}")
 
@@ -491,6 +502,14 @@ class NumpyInterp(Interp):
         codes = rank[inv.reshape(-1)]
         uniq_keys = [host_key(uniq[o]) for o in order]
         return codes, uniq_keys
+
+
+def _zip_fields(cols: Sequence[List[Any]], depth: int) -> List[Any]:
+    """Per-field nested lists (``depth`` levels deep) → one nested list of
+    struct tuples."""
+    if depth == 1:
+        return list(zip(*cols))
+    return [_zip_fields(sub, depth - 1) for sub in zip(*cols)]
 
 
 def run_program_numpy(prog: Program, inputs: Dict[str, Any],

@@ -12,6 +12,9 @@ mask. Values flow through a small vocabulary of representations:
 - ``Rows``   — a lazy per-lane gather of rows from one host collection
   (adjacency lists, bucket values) that keeps the original row objects
   reachable for collection primitives;
+- ``RowSel`` — a lazy per-lane selection of rows from an ``ArrVec``: how
+  a nested loop's lanes read their outer lane's rows without copying a
+  row once per inner lane;
 - any other Python value — lane-invariant ("uniform"), evaluated once.
 
 Cost accounting stays *analytic* and matches the interpreter cycle for
@@ -81,10 +84,11 @@ class ArrVec:
         self.data = data
         self.lengths = lengths
 
-    def length_vec(self):
+    def lens(self) -> np.ndarray:
+        """Every lane's row length as a vector."""
         if self.lengths is not None:
             return self.lengths
-        return self.data.shape[1]  # uniform width
+        return np.full(len(self.data), self.data.shape[1], dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ArrVec{self.data.shape}"
@@ -107,9 +111,29 @@ class Rows:
         return f"Rows(n={len(self.base)}, L={len(self.idx)})"
 
 
+class RowSel:
+    """Per-lane rows selected from an ``ArrVec``: lane ``l`` holds row
+    ``sel[l]`` of ``base``. Reads index through ``sel``; nothing copies
+    the rows unless a select has to mix them with computed arrays."""
+
+    __slots__ = ("base", "sel")
+
+    def __init__(self, base: ArrVec, sel: np.ndarray):
+        self.base = base
+        self.sel = sel
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"RowSel({self.base!r}, L={len(self.sel)})"
+
+
 def _materialize(v: Any) -> Any:
-    """Rows → padded ArrVec (needed when a select/concat mixes a gather
-    with a computed array, e.g. a vector-add reduction over input rows)."""
+    """Rows / RowSel → padded ArrVec (needed when a select mixes a
+    gather with a computed array, e.g. a vector-add reduction over input
+    rows)."""
+    if isinstance(v, RowSel):
+        b = v.base
+        return ArrVec(b.data[v.sel],
+                      None if b.lengths is None else b.lengths[v.sel])
     if not isinstance(v, Rows):
         return v
     if v.host is None:
@@ -125,7 +149,7 @@ def _materialize(v: Any) -> Any:
 
 
 def is_vec(v: Any) -> bool:
-    return isinstance(v, (np.ndarray, SVec, ArrVec, Rows))
+    return isinstance(v, (np.ndarray, SVec, ArrVec, Rows, RowSel))
 
 
 def host_key(k: Any) -> Any:
@@ -179,34 +203,70 @@ def vec_take(v: Any, idx: np.ndarray) -> Any:
                       None if v.lengths is None else v.lengths[idx])
     if isinstance(v, Rows):
         return Rows(v.base, v.idx[idx], v.host)
+    if isinstance(v, RowSel):
+        return RowSel(v.base, v.sel[idx])
     return v
 
 
-def vec_concat(a: Any, b: Any, La: int, Lb: int) -> Any:
-    """Concatenate two lane vectors along the lane axis."""
-    if not is_vec(a):
-        a = as_lane_vec(a, La)
-    if not is_vec(b):
-        b = as_lane_vec(b, Lb)
-    if isinstance(a, Rows) and isinstance(b, Rows) and a.base is b.base:
-        return Rows(a.base, np.concatenate([a.idx, b.idx]), a.host)
-    if isinstance(a, Rows) or isinstance(b, Rows):
-        a = _materialize(a)
-        b = _materialize(b)
-    if isinstance(a, SVec) and isinstance(b, SVec):
-        return SVec(tuple(vec_concat(x, y, La, Lb)
-                          for x, y in zip(a.fields, b.fields)))
-    if isinstance(a, ArrVec) and isinstance(b, ArrVec):
-        a, b = _pad_pair(a, b)
-        la = a.length_vec() if a.lengths is not None else \
-            np.full(La, a.data.shape[1], dtype=np.int64)
-        lb = b.length_vec() if b.lengths is not None else \
-            np.full(Lb, b.data.shape[1], dtype=np.int64)
-        return ArrVec(np.concatenate([a.data, b.data]),
-                      np.concatenate([la, lb]))
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.concatenate([a, b])
-    raise VecError("mixed value shapes in concatenation")
+def select_lanes(v: Any, sel: np.ndarray) -> Any:
+    """``vec_take`` that reads ``ArrVec`` rows through ``sel`` instead of
+    copying them (an outer value seen from a nested loop's lanes)."""
+    if isinstance(v, ArrVec):
+        return RowSel(v, sel)
+    if isinstance(v, SVec):
+        return SVec(tuple(select_lanes(f, sel) for f in v.fields))
+    return vec_take(v, sel)
+
+
+def vec_concat(parts: Sequence[Tuple[Any, int]]) -> Any:
+    """Concatenate ``(lane vector, lane count)`` parts along the lane
+    axis (uniform parts broadcast to their lane count)."""
+    vals = [as_lane_vec(v, n) for v, n in parts]
+    # a part with no elements at all (e.g. a window whose lanes ran no
+    # trip) takes the element shape of the others
+    full = [v for v in vals if not _no_rows(v)]
+    if full and len(full) < len(vals):
+        vals = [_empty_like(full[0], n) if _no_rows(v) else v
+                for v, (_, n) in zip(vals, parts)]
+    if all(isinstance(v, Rows) and v.base is vals[0].base for v in vals):
+        return Rows(vals[0].base, np.concatenate([v.idx for v in vals]),
+                    vals[0].host)
+    vals = [_materialize(v) for v in vals]
+    if all(isinstance(v, SVec) and len(v.fields) == len(vals[0].fields)
+           for v in vals):
+        return SVec(tuple(vec_concat([(v.fields[i], n)
+                                      for v, (_, n) in zip(vals, parts)])
+                          for i in range(len(vals[0].fields))))
+    if all(isinstance(v, np.ndarray) for v in vals):
+        return np.concatenate(vals)
+    if not all(isinstance(v, ArrVec) and
+               v.data.shape[2:] == vals[0].data.shape[2:] for v in vals):
+        raise VecError("mixed value shapes in concatenation")
+    w = max(v.data.shape[1] for v in vals)
+    data = np.zeros((sum(n for _, n in parts), w) + vals[0].data.shape[2:],
+                    dtype=np.result_type(*(v.data.dtype for v in vals)))
+    lo = 0
+    for v in vals:
+        data[lo:lo + len(v.data), : v.data.shape[1]] = v.data
+        lo += len(v.data)
+    if all(v.lengths is None and v.data.shape[1] == w for v in vals):
+        return ArrVec(data, None)
+    return ArrVec(data, np.concatenate([v.lens() for v in vals]))
+
+
+def _no_rows(v: Any) -> bool:
+    return isinstance(v, ArrVec) and v.data.shape[1] == 0
+
+
+def _empty_like(v: Any, n: int) -> Any:
+    """``n`` lanes of empty rows shaped like the rows of ``v``."""
+    v = _materialize(v)
+    if isinstance(v, SVec):
+        return SVec(tuple(_empty_like(f, n) for f in v.fields))
+    if not isinstance(v, ArrVec):
+        raise VecError("mixed value shapes")
+    return ArrVec(np.zeros((n, 0) + v.data.shape[2:], dtype=v.data.dtype),
+                  np.zeros(n, dtype=np.int64))
 
 
 def _pad_pair(a: ArrVec, b: ArrVec) -> Tuple[ArrVec, ArrVec]:
@@ -222,10 +282,7 @@ def _pad_pair(a: ArrVec, b: ArrVec) -> Tuple[ArrVec, ArrVec]:
         shape = (v.data.shape[0], w) + v.data.shape[2:]
         out = np.zeros(shape, dtype=v.data.dtype)
         out[:, : v.data.shape[1]] = v.data
-        lens = v.lengths
-        if lens is None:
-            lens = np.full(v.data.shape[0], v.data.shape[1], dtype=np.int64)
-        return ArrVec(out, lens)
+        return ArrVec(out, v.lens())
 
     return pad(a), pad(b)
 
@@ -238,9 +295,13 @@ def vec_where(cond: np.ndarray, tv: Any, ev: Any, L: int) -> Any:
     ev = as_lane_vec(ev, L)
     if isinstance(tv, Rows) and isinstance(ev, Rows) and tv.base is ev.base:
         return Rows(tv.base, np.where(cond, tv.idx, ev.idx), tv.host)
-    if isinstance(tv, Rows) or isinstance(ev, Rows):
-        tv = _materialize(tv)
-        ev = _materialize(ev)
+    tv = _materialize(tv)
+    ev = _materialize(ev)
+    if _no_rows(tv) != _no_rows(ev):  # e.g. a Collect that kept nothing
+        if _no_rows(tv):
+            tv = _empty_like(ev, L)
+        else:
+            ev = _empty_like(tv, L)
     if isinstance(tv, np.ndarray) and isinstance(ev, np.ndarray):
         return np.where(cond, tv, ev)
     if isinstance(tv, SVec) and isinstance(ev, SVec):
@@ -251,14 +312,9 @@ def vec_where(cond: np.ndarray, tv: Any, ev: Any, L: int) -> Any:
     if isinstance(tv, ArrVec) and isinstance(ev, ArrVec):
         tv, ev = _pad_pair(tv, ev)
         sel = cond.reshape((L,) + (1,) * (tv.data.ndim - 1))
-        lt = tv.length_vec() if tv.lengths is not None else \
-            np.full(L, tv.data.shape[1], dtype=np.int64)
-        le = ev.length_vec() if ev.lengths is not None else \
-            np.full(L, ev.data.shape[1], dtype=np.int64)
-        lens = np.where(cond, lt, le)
-        if tv.lengths is None and ev.lengths is None and \
-                tv.data.shape[1] == ev.data.shape[1]:
-            lens = None
+        lens = None
+        if tv.lengths is not None or ev.lengths is not None:
+            lens = np.where(cond, tv.lens(), ev.lens())
         return ArrVec(np.where(sel, tv.data, ev.data), lens)
     raise VecError("mixed value shapes in select")
 
@@ -496,8 +552,8 @@ def _plan_block(block: Block) -> Optional[str]:
                 if reason is not None:
                     return reason
         if isinstance(op, MultiLoop):
-            # nested loops run as sequential trips that fold in trip order,
-            # so any reducer (associative or not) is exact here
+            # a nested Reduce folds one trip at a time, in trip order, so
+            # any reducer (associative or not) is exact here
             reason = _share_reason(op.gens)
             if reason is not None:
                 return reason
@@ -538,26 +594,101 @@ class StatsDelta:
         stats.bytes_alloc += self.bytes_alloc
 
 
+#: widest child vectorizer a nested loop creates: a nest with more
+#: (outer lane, trip) pairs than this is evaluated in consecutive chunks
+#: of at most this many, which bounds the memory one nesting level holds
+NEST_LANE_BUDGET = 1 << 14
+
+
 class _GenState:
-    """Accumulator of one nested generator across sequential trips.
+    """Accumulator of one nested generator over all outer lanes.
 
-    A bucket generator keeps one sub-state per distinct key in
-    ``buckets``; each sub-state accumulates exactly like a Collect or
-    Reduce over the lanes that hit its key, and ``first`` holds the trip
-    at which each lane first hit it (-1: never), which fixes each lane's
-    own first-seen key order."""
+    Collect kinds scatter each kept (lane, trip) value into its lane's
+    row: ``out`` holds the rows (an ``(L, W, ...)`` array, or an SVec of
+    them for struct values) and ``fill`` each lane's row length so far.
+    Reduce kinds fold one trip at a time into ``acc``; ``seen`` marks the
+    lanes that already hold a value. A bucket generator keeps one
+    sub-state per distinct key in ``buckets``, and ``first`` holds the
+    trip at which each lane first hit that key (-1: never), which fixes
+    each lane's own first-seen key order."""
 
-    __slots__ = ("cols", "keeps", "acc", "seen", "all_seen", "buckets",
+    __slots__ = ("out", "fill", "acc", "seen", "all_seen", "buckets",
                  "first")
 
     def __init__(self):
-        self.cols: List[Any] = []
-        self.keeps: List[Any] = []
+        self.out: Any = None
+        self.fill: Optional[np.ndarray] = None
         self.acc: Any = None
         self.seen: Optional[np.ndarray] = None
         self.all_seen = False
         self.buckets: Dict[Any, "_GenState"] = {}
         self.first: Optional[np.ndarray] = None
+
+
+def _scatter_into(out: Any, vals: Any, lanes: np.ndarray, col: np.ndarray,
+                  L: int, w: int) -> Any:
+    """Write dense element values into row buffer ``out`` at ``(lanes,
+    col)``, allocating it (``L`` rows of at least ``w``) or widening and
+    promoting it as needed."""
+    if isinstance(vals, SVec):
+        if out is None:
+            out = SVec((None,) * len(vals.fields))
+        elif not isinstance(out, SVec) or \
+                len(out.fields) != len(vals.fields):
+            raise VecError("mixed element shapes in nested collect")
+        return SVec(tuple(_scatter_into(o, f, lanes, col, L, w)
+                          for o, f in zip(out.fields, vals.fields)))
+    if isinstance(out, SVec):
+        raise VecError("mixed element shapes in nested collect")
+    if out is None:
+        out = np.zeros((L, w) + vals.shape[1:], dtype=vals.dtype)
+    else:
+        if out.shape[2:] != vals.shape[1:]:
+            raise VecError("collect of ragged rows")
+        dt = np.result_type(out.dtype, vals.dtype)
+        if out.shape[1] < w or dt != out.dtype:
+            width = out.shape[1] if out.shape[1] >= w \
+                else max(w, 2 * out.shape[1])
+            grown = np.zeros((L, width) + out.shape[2:], dtype=dt)
+            grown[:, : out.shape[1]] = out
+            out = grown
+    out[lanes, col] = vals
+    return out
+
+
+def _reshape_rows(vals: Any, L: int) -> Any:
+    if isinstance(vals, SVec):
+        return SVec(tuple(_reshape_rows(f, L) for f in vals.fields))
+    return vals.reshape((L, -1) + vals.shape[1:])
+
+
+def _as_rows(out: Any, w: int, lengths: Optional[np.ndarray]) -> Any:
+    if isinstance(out, SVec):
+        return SVec(tuple(_as_rows(f, w, lengths) for f in out.fields))
+    return ArrVec(out[:, :w], lengths)
+
+
+def _key_split(key: Any, sel: np.ndarray) -> List[Tuple[Any, np.ndarray]]:
+    """Split lanes ``sel`` by bucket key: ``(host key, lanes)`` pairs, one
+    per distinct key, each lane list ascending."""
+    if not is_vec(key):
+        return [(host_key(key), sel)]
+    if not isinstance(key, np.ndarray):
+        raise VecError("non-scalar bucket key")
+    act = key[sel]
+    if act.dtype.kind == "f" and bool(np.isnan(act).any()):
+        raise VecError("NaN bucket key")
+    try:
+        uniq, inv = np.unique(act, return_inverse=True)
+    except TypeError as e:
+        raise VecError(f"unsortable bucket keys: {e}") from None
+    if len(uniq) == 1:
+        return [(host_key(uniq[0]), sel)]
+    inv = inv.reshape(-1)
+    order = np.argsort(inv, kind="stable")
+    bounds = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
+    return [(host_key(u), sel[order[b:e]])
+            for u, b, e in zip(uniq, bounds[:-1], bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +701,24 @@ class LoopVectorizer:
     ``host`` is the executing ``NumpyInterp``: uniform free symbols
     resolve through its environment, and per-host caches (padded rows,
     columnarized structs) live on it so they are shared across loops.
+    A nested loop's vectorizer has an ``outer`` one and the outer lane
+    ``sel[l]`` of each of its lanes ``l``; symbols it does not bind
+    resolve through ``outer``, read through ``sel``.
     """
 
-    def __init__(self, host, L: int, delta: StatsDelta):
+    def __init__(self, host, L: int, delta: StatsDelta,
+                 outer: Optional["LoopVectorizer"] = None,
+                 sel: Optional[np.ndarray] = None):
         self.host = host
         self.L = L
         self.delta = delta
+        self.outer = outer
+        self.sel = sel
         self.env: Dict[int, Any] = {}
         self.ess = np.zeros(L, dtype=np.float64)
         self.ovh = np.zeros(L, dtype=np.float64)
-        self.in_reducer = 0
-        self.in_reduce_value = 0
+        self.in_reducer = outer.in_reducer if outer else 0
+        self.in_reduce_value = outer.in_reduce_value if outer else 0
         # single-slot popcount cache: consecutive defs in a block share the
         # same mask object. Pinning the object (_mobj) keeps its id from
         # being recycled by a later, different mask.
@@ -642,6 +780,10 @@ class LoopVectorizer:
         if isinstance(e, Sym):
             if e.id in self.env:
                 return self.env[e.id]
+            if self.outer is not None:
+                v = self.env[e.id] = select_lanes(self.outer.lookup(e),
+                                                  self.sel)
+                return v
             if e.id in self.host.env:
                 return self.host.env[e.id]  # uniform host value
             raise VecError(f"unbound symbol {e!r} in vectorized block")
@@ -752,15 +894,18 @@ class LoopVectorizer:
             if j is None:
                 raise VecError("indexing into empty rows")
             return pad[arr.idx, j]
-        if isinstance(arr, ArrVec):
-            w = arr.data.shape[1]
+        if isinstance(arr, (ArrVec, RowSel)):
+            data = arr.data if isinstance(arr, ArrVec) else arr.base.data
+            w = data.shape[1]
             if w == 0:
                 raise VecError("indexing into empty rows")
             j = _clamp(idx, w - 1)
-            if isinstance(j, np.ndarray):
-                rows = arr.data[np.arange(self.L), j]
+            if isinstance(arr, RowSel):
+                rows = data[arr.sel, j]
+            elif isinstance(j, np.ndarray):
+                rows = data[np.arange(self.L), j]
             else:
-                rows = arr.data[:, int(j)]
+                rows = data[:, int(j)]
             if rows.ndim == 1:
                 return rows
             return ArrVec(rows, None)
@@ -795,7 +940,10 @@ class LoopVectorizer:
             lens, _ = self.host.row_cache(arr.base)
             return lens[arr.idx]
         if isinstance(arr, ArrVec):
-            return arr.length_vec()
+            return arr.data.shape[1] if arr.lengths is None else arr.lengths
+        if isinstance(arr, RowSel):
+            b = arr.base
+            return b.data.shape[1] if b.lengths is None else b.lengths[arr.sel]
         if isinstance(arr, SVec):
             return self._length(arr.fields[0])
         if is_vec(arr):
@@ -877,6 +1025,8 @@ class LoopVectorizer:
         """One lane's concrete value, as a host object."""
         if isinstance(a, Rows):
             return a.base[a.idx[l]]
+        if isinstance(a, RowSel):
+            return self._row_at(a.base, int(a.sel[l]))
         if isinstance(a, ArrVec):
             row = a.data[l]
             if a.lengths is not None:
@@ -892,38 +1042,129 @@ class LoopVectorizer:
 
     def _nested_loop(self, d: Def, loop: MultiLoop,
                      mask: Optional[np.ndarray]) -> None:
-        gens = loop.gens
+        """Evaluate a nested multiloop once over its flattened segments.
+
+        A child vectorizer gets one lane per active (outer lane, trip)
+        pair, laid out lane-major, so outer lane ``p``'s trips are the
+        contiguous child lanes ``starts[p] .. starts[p] + size[p]``. A
+        nest wider than ``NEST_LANE_BUDGET`` is split into windows of at
+        most budget-many whole outer lanes whose trips fit the budget (a
+        single lane that alone exceeds it runs in chunks of trips); each
+        window runs on a vectorizer of its own lanes, and the windows'
+        results concatenate along the lane axis."""
         sizes = self.lookup(loop.size)
-        n = self.count(mask)
-        self.delta.loops_executed += n
-        if is_vec(sizes):
-            if not isinstance(sizes, np.ndarray):
-                raise VecError("non-scalar loop size")
-            sz = sizes
-            active_sz = sz if mask is None else sz[mask]
-            self.delta.loop_iterations += int(active_sz.sum()) if n else 0
-            trips = int(active_sz.max()) if n else 0
+        self.delta.loops_executed += self.count(mask)
+        if is_vec(sizes) and not isinstance(sizes, np.ndarray):
+            raise VecError("non-scalar loop size")
+        sz = np.array(np.broadcast_to(sizes, (self.L,)), dtype=np.int64)
+        if mask is not None:
+            sz[~mask] = 0
+        self.delta.loop_iterations += int(sz.sum())
+        np.maximum(sz, 0, out=sz)
+        ends = np.cumsum(sz)
+        if ends[-1] <= NEST_LANE_BUDGET:
+            outs = self._nest(loop, sz, mask)
         else:
-            sz = None
-            trips = int(sizes) if n else 0
-            self.delta.loop_iterations += int(sizes) * n
+            parts = []
+            pa = 0
+            while pa < self.L:
+                limit = ends[pa] - sz[pa] + NEST_LANE_BUDGET
+                pb = int(np.searchsorted(ends, limit, side="right"))
+                pb = min(max(pb, pa + 1), pa + NEST_LANE_BUDGET)
+                win = LoopVectorizer(self.host, pb - pa, self.delta, self,
+                                     np.arange(pa, pb))
+                parts.append((win._nest(loop, sz[pa:pb],
+                                        None if mask is None
+                                        else mask[pa:pb]), pb - pa))
+                self.ess[pa:pb] += win.ess
+                self.ovh[pa:pb] += win.ovh
+                pa = pb
+            outs = [vec_concat([(p[g], w) for p, w in parts])
+                    for g in range(len(loop.gens))]
+        for s, out in zip(d.syms, outs):
+            self.env[s.id] = out
+
+    def _nest(self, loop: MultiLoop, sz: np.ndarray,
+              mask: Optional[np.ndarray]) -> List[Any]:
+        """Run every generator of a nested loop with ``sz[p]`` trips on
+        outer lane ``p``: cond, key and value blocks once per chunk of at
+        most ``NEST_LANE_BUDGET`` child lanes; Collect values scatter
+        straight into per-lane rows, Reduce values fold one trip at a time
+        at outer width, in trip order. The child's per-lane costs sum back
+        onto the outer lanes. Returns one lane vector per generator."""
+        gens = loop.gens
+        ends = np.cumsum(sz)
+        starts = ends - sz
+        total = int(ends[-1])
         share_keys, need_memo = loop_share_plan(gens)
         states = [_GenState() for _ in gens]
-        for t in range(trips):
-            if sz is not None:
-                live = sz > t
-                m_t = live if mask is None else (mask & live)
-                if not m_t.any():
-                    continue
-            else:
-                m_t = mask
+        for j0 in range(0, total, NEST_LANE_BUDGET):
+            j1 = min(j0 + NEST_LANE_BUDGET, total)
+            pa = int(np.searchsorted(ends, j0, side="right"))
+            pb = int(np.searchsorted(ends, j1 - 1, side="right")) + 1
+            per = np.minimum(ends[pa:pb], j1) - np.maximum(starts[pa:pb], j0)
+            parent = np.repeat(np.arange(pa, pb), per)
+            trip = np.arange(j0, j1) - starts[parent]
+            child = LoopVectorizer(self.host, j1 - j0, self.delta, self,
+                                   parent)
             memo = {} if need_memo else None
-            for g, st, sk in zip(gens, states, share_keys):
-                self._nested_gen_iter(g, st, t, m_t, memo, sk)
-        for s, g, st in zip(d.syms, gens, states):
-            self.env[s.id] = self._finish_nested(g, st, mask)
+            evals = [child._flat_gen(g, sk, trip, memo)
+                     for g, sk in zip(gens, share_keys)]
+            for acc, c in ((self.ess, child.ess), (self.ovh, child.ovh)):
+                acc += np.bincount(parent, weights=c, minlength=self.L)
+            folds = []
+            for g, st, ev in zip(gens, states, evals):
+                if ev is None:
+                    continue
+                keep, key, v = ev
+                sel = np.arange(child.L) if keep is None \
+                    else np.flatnonzero(keep)
+                if g.kind is GenKind.COLLECT:
+                    self._scatter(st, child._dense(v, sel), parent[sel])
+                elif g.kind is GenKind.BUCKET_COLLECT:
+                    self._bucket_scatter(st, child, key, v, sel, parent,
+                                         trip)
+                else:
+                    folds.append((g, st, keep, key, v))
+            if folds:
+                self._fold_trips(folds, sz, starts - j0, trip)
+        return [self._finish_nested(g, st, mask)
+                for g, st in zip(gens, states)]
 
-    def _shared_eval(self, block: Block, t: int,
+    def _flat_gen(self, g: Generator, sk, trip: np.ndarray, memo):
+        """Run one nested generator's cond, key and value blocks over all
+        lanes of this (child) vectorizer: ``(keep mask or None, key,
+        value)``, or None when no lane passes the condition."""
+        ckey, kkey = sk
+        m = None
+        if g.cond is not None:
+            self.add_ovh(BRANCH_CYCLES, None)
+            cv = self._shared_eval(g.cond, trip, None, memo, ckey)
+            if is_vec(cv):
+                if not isinstance(cv, np.ndarray):
+                    raise VecError("non-scalar condition value")
+                m = cv.astype(np.bool_, copy=False)
+                if not m.any():
+                    return None
+                if m.all():
+                    m = None
+            elif not cv:
+                return None
+        key = None
+        if g.kind in (GenKind.BUCKET_COLLECT, GenKind.BUCKET_REDUCE):
+            key = self._nested_key(g, trip, m, memo, kkey)
+        if g.kind in (GenKind.COLLECT, GenKind.BUCKET_COLLECT):
+            v = self.eval_block(g.value, (trip,), m)
+            self.count_alloc(g.value_type, m, 1)
+        else:
+            self.in_reduce_value += 1
+            try:
+                v = self.eval_block(g.value, (trip,), m)
+            finally:
+                self.in_reduce_value -= 1
+        return m, key, v
+
+    def _shared_eval(self, block: Block, t: Any,
                      mask: Optional[np.ndarray], memo, mkey) -> Any:
         if memo is None or mkey is None:
             return self.eval_block(block, (t,), mask)
@@ -933,7 +1174,7 @@ class LoopVectorizer:
         memo[mkey] = v
         return v
 
-    def _nested_key(self, g: Generator, t: int, mask: Optional[np.ndarray],
+    def _nested_key(self, g: Generator, t: Any, mask: Optional[np.ndarray],
                     memo, kkey) -> Any:
         """Key computation + hash probe, shared across alpha-equivalent
         sibling generators exactly as ``Interp._bucket_key`` shares it."""
@@ -949,64 +1190,129 @@ class LoopVectorizer:
         memo[probe] = k
         return k
 
-    def _nested_gen_iter(self, g: Generator, st: _GenState, t: int,
-                         mask: Optional[np.ndarray], memo, sk) -> None:
-        ckey, kkey = sk
-        m = mask
-        if g.cond is not None:
-            self.add_ovh(BRANCH_CYCLES, m)
-            cv = self._shared_eval(g.cond, t, m, memo, ckey)
-            if is_vec(cv):
-                cv = cv.astype(np.bool_, copy=False)
-                m = cv if m is None else (m & cv)
-                if not m.any():
-                    return
-            elif not cv:
-                return
-        bucketed = g.kind in (GenKind.BUCKET_COLLECT, GenKind.BUCKET_REDUCE)
-        if bucketed:
-            key = self._nested_key(g, t, m, memo, kkey)
-        if g.kind in (GenKind.COLLECT, GenKind.BUCKET_COLLECT):
-            v = self.eval_block(g.value, (t,), m)
-            self.count_alloc(g.value_type, m, 1)
+    def _dense(self, v: Any, sel: np.ndarray) -> Any:
+        """The values of lanes ``sel`` as dense element arrays: ``(n,)``
+        scalars, ``(n, w, ...)`` rows of one length ``w``, or an SVec of
+        those."""
+        if not is_vec(v):
+            v, sel = as_lane_vec(v, len(sel)), slice(None)
+        if isinstance(v, SVec):
+            return SVec(tuple(self._dense(f, sel) for f in v.fields))
+        if isinstance(v, np.ndarray):
+            return v[sel]
+        if isinstance(v, Rows):
+            lens, data = self.host.row_cache(v.base)
+            if data is None:
+                raise VecError("collect of non-scalar rows")
+            rows = v.idx[sel]
+            lv = lens[rows]
+        elif isinstance(v, RowSel):
+            data, rows = v.base.data, v.sel[sel]
+            lv = None if v.base.lengths is None else v.base.lengths[rows]
         else:
-            self.in_reduce_value += 1
-            try:
-                v = self.eval_block(g.value, (t,), m)
-            finally:
-                self.in_reduce_value -= 1
-        if not bucketed:
-            new = None if g.kind is GenKind.COLLECT else self._hit(st, m)
-            self._accumulate(g, st, v, m, new)
+            data, rows = v.data, sel
+            lv = None if v.lengths is None else v.lengths[sel]
+        w = data.shape[1]
+        if lv is not None and lv.size:
+            w = int(lv.min())
+            if w != int(lv.max()):
+                raise VecError("collect of ragged rows")
+        return data[rows, :w]
+
+    def _scatter(self, st: _GenState, vals: Any, lanes: np.ndarray) -> None:
+        """Append dense values (one per entry of ``lanes``, which is
+        ascending and in trip order within each lane) to the rows of
+        their outer lanes."""
+        counts = np.bincount(lanes, minlength=self.L)
+        if st.fill is None and counts.min() == counts.max():
+            # every lane got the same number: the rows are a reshape
+            st.fill = counts
+            st.out = _reshape_rows(vals, self.L)
             return
-        for k, km in self._key_groups(key, m):
-            sub = st.buckets.get(k)
-            if sub is None:
-                sub = st.buckets[k] = _GenState()
-                sub.first = np.full(self.L, -1, dtype=np.int64)
-            new = self._hit(sub, km)
-            if new is not None:
-                sub.first[new] = t
-            self._accumulate(g, sub, v, km, new)
+        if st.fill is None:
+            st.fill = np.zeros(self.L, dtype=np.int64)
+        run = np.arange(len(lanes)) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+        col = st.fill[lanes] + run
+        st.fill += counts
+        st.out = _scatter_into(st.out, vals, lanes, col, self.L,
+                               int(st.fill.max()))
+
+    def _bucket_scatter(self, st: _GenState, child: "LoopVectorizer",
+                        key: Any, v: Any, sel: np.ndarray,
+                        parent: np.ndarray, trip: np.ndarray) -> None:
+        """BucketCollect: split the kept child lanes by key and append
+        each group to its key's rows; a lane's earliest trip in the group
+        is its first hit of the key (child lanes are lane-major)."""
+        for k, ks in _key_split(key, sel):
+            sub = self._bucket(st, k)
+            lanes = parent[ks]
+            hit, at = np.unique(lanes, return_index=True)
+            new = sub.first[hit] < 0
+            sub.first[hit[new]] = trip[ks[at[new]]]
+            self._scatter(sub, child._dense(v, ks), lanes)
+
+    def _fold_trips(self, folds, sz: np.ndarray, base: np.ndarray,
+                    trip: np.ndarray) -> None:
+        """Fold Reduce-kind values into their accumulators one trip at a
+        time, at outer width and in trip order, so any reducer (associative
+        or not) is exact. Outer lane ``p``'s value at trip ``t`` is child
+        lane ``base[p] + t`` when that lane lies in this chunk."""
+        n = len(trip)
+        # the trips of outer lane p in this chunk: [lo[p], hi[p])
+        lo = np.maximum(-base, 0)
+        hi = np.minimum(sz, n - base)
+        dense = not lo.any() and hi.min() == hi.max()
+        for t in range(int(trip.min()), int(trip.max()) + 1):
+            if dense:  # every lane is live: no mask, no clamp
+                live, idx = None, base + t
+            else:
+                live = (lo <= t) & (hi > t)
+                idx = _clamp(base + t, n - 1)
+            for g, st, keep, key, v in folds:
+                m = live
+                if keep is not None:
+                    m = keep[idx] if m is None else m & keep[idx]
+                if m is not None:
+                    if not m.any():
+                        continue
+                    if m.all():
+                        m = None
+                vt = vec_take(v, idx)
+                if g.kind is GenKind.REDUCE:
+                    self._accumulate(g, st, vt, m, self._hit(st, m))
+                    continue
+                for k, km in self._key_groups(vec_take(key, idx), m):
+                    sub = self._bucket(st, k)
+                    new = self._hit(sub, km)
+                    if new is not None:
+                        sub.first[new] = t
+                    self._accumulate(g, sub, vt, km, new)
+
+    def _bucket(self, st: _GenState, k: Any) -> _GenState:
+        """``st``'s accumulator for bucket key ``k``, made on its first
+        hit."""
+        sub = st.buckets.get(k)
+        if sub is None:
+            sub = st.buckets[k] = _GenState()
+            sub.first = np.full(self.L, -1, dtype=np.int64)
+        return sub
 
     def _key_groups(self, key: Any, mask: Optional[np.ndarray]):
         """Split the trip's active lanes by bucket key: ``(host key, lane
         mask)`` pairs, one per distinct key."""
         if not is_vec(key):
             return [(host_key(key), mask)]
-        if not isinstance(key, np.ndarray):
-            raise VecError("non-scalar bucket key")
-        act = key if mask is None else key[mask]
-        if act.dtype.kind == "f" and bool(np.isnan(act).any()):
-            raise VecError("NaN bucket key")
-        try:
-            uniq = np.unique(act)
-        except TypeError as e:
-            raise VecError(f"unsortable bucket keys: {e}") from None
-        if len(uniq) == 1:
-            return [(host_key(uniq[0]), mask)]
-        full = self.full_mask(mask)
-        return [(host_key(u), full & (key == u)) for u in uniq]
+        sel = np.arange(self.L) if mask is None else np.flatnonzero(mask)
+        groups = _key_split(key, sel)
+        if len(groups) == 1:
+            return [(groups[0][0], mask)]
+        out = []
+        for k, ks in groups:
+            km = np.zeros(self.L, dtype=np.bool_)
+            km[ks] = True
+            out.append((k, km))
+        return out
 
     def _hit(self, st: _GenState,
              mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -1028,13 +1334,9 @@ class LoopVectorizer:
     def _accumulate(self, g: Generator, st: _GenState, v: Any,
                     mask: Optional[np.ndarray],
                     new: Optional[np.ndarray]) -> None:
-        """Append (Collect kinds) or fold (Reduce kinds) one trip's value
-        into ``st`` on the lanes of ``mask``; ``new`` (from ``_hit``)
-        marks the lanes whose value starts the fold."""
-        if g.kind in (GenKind.COLLECT, GenKind.BUCKET_COLLECT):
-            st.cols.append(v)
-            st.keeps.append(self.full_mask(mask))
-            return
+        """Fold one trip's value into ``st`` on the lanes of ``mask``;
+        ``new`` (from ``_hit``) marks the lanes whose value starts the
+        fold."""
         if new is None:  # every lane of the mask already holds a value
             r = self._reduce(g, st.acc, v, mask)
             st.acc = r if mask is None else vec_where(mask, r, st.acc, self.L)
@@ -1059,7 +1361,7 @@ class LoopVectorizer:
     def _finish_nested(self, g: Generator, st: _GenState,
                        mask: Optional[np.ndarray]) -> Any:
         if g.kind is GenKind.COLLECT:
-            return self._assemble_collect(g, st, mask)
+            return self._collected(g, st, mask)
         if g.kind is not GenKind.REDUCE:
             return self._assemble_buckets(g, st, mask)
         # REDUCE: lanes that saw no element fall back to init/identity
@@ -1092,7 +1394,7 @@ class LoopVectorizer:
         for k, sub in st.buckets.items():
             lanes = np.nonzero(sub.first >= 0)[0]
             if collect:
-                vals = self.host.to_host(self._assemble_collect(g, sub, mask),
+                vals = self.host.to_host(self._collected(g, sub, mask),
                                          lanes, T.Coll(g.value_type))
             else:
                 vals = self.host.to_host(sub.acc, lanes, g.value_type)
@@ -1107,69 +1409,17 @@ class LoopVectorizer:
             out[l] = b
         return out
 
-    def _assemble_collect(self, g: Generator, st: _GenState,
-                          mask: Optional[np.ndarray]) -> Any:
-        cols, keeps = st.cols, st.keeps
-        if not cols:
+    def _collected(self, g: Generator, st: _GenState,
+                   mask: Optional[np.ndarray]) -> Any:
+        """A Collect's scattered rows as a lane vector of arrays; rows are
+        ragged (``lengths`` set) unless every live lane has the same
+        length."""
+        if st.out is None:
             dt = _np_dtype(g.value_type)
             return ArrVec(np.zeros((self.L, 0), dtype=dt),
                           np.zeros(self.L, dtype=np.int64))
-        vals = [as_lane_vec(v, self.L) for v in cols]
-        if all(isinstance(v, SVec) for v in vals):
-            arity = len(vals[0].fields)
-            fields = []
-            for fi in range(arity):
-                fields.append(self._assemble_field(
-                    [v.fields[fi] for v in vals], keeps, mask))
-            return SVec(tuple(fields))
-        return self._assemble_field(vals, keeps, mask)
-
-    def _assemble_field(self, vals: List[Any], keeps: List[np.ndarray],
-                        mask: Optional[np.ndarray]) -> ArrVec:
-        # Raggedness checks only inspect lanes live under each trip's keep
-        # mask: lanes outside the evaluation mask hold garbage lengths and
-        # must not trigger a spurious fallback.
-        vals = [as_lane_vec(v, self.L) for v in vals]
-        if all(isinstance(v, np.ndarray) for v in vals):
-            data = np.stack(vals, axis=1)            # (L, T)
-        elif all(isinstance(v, (ArrVec, Rows)) for v in vals):
-            mats = []
-            w = None
-            for v, kp in zip(vals, keeps):
-                if isinstance(v, Rows):
-                    lens, pad = self.host.row_cache(v.base)
-                    if pad is None:
-                        raise VecError("collect of non-scalar rows")
-                    lv = lens[v.idx][kp]
-                    if lv.size and int(lv.min()) != int(lv.max()):
-                        raise VecError("collect of ragged rows")
-                    wt = int(lv[0]) if lv.size else 0
-                    v = ArrVec(pad[v.idx][:, :wt], None)
-                elif v.lengths is not None:
-                    lv = v.lengths[kp]
-                    if lv.size and int(lv.min()) != int(lv.max()):
-                        raise VecError("collect of ragged rows")
-                    wt = int(lv[0]) if lv.size else 0
-                    v = ArrVec(v.data[:, :wt], None)
-                wt = v.data.shape[1]
-                if w is None:
-                    w = wt
-                elif wt != w:
-                    raise VecError("collect of ragged rows")
-                mats.append(v.data)
-            data = np.stack(mats, axis=1)            # (L, T, W, ...)
-        else:
-            raise VecError("mixed element shapes in nested collect")
-        K = np.stack(keeps, axis=1)                  # (L, T)
-        if bool(K.all()):
-            return ArrVec(data, None)
-        lens = K.sum(axis=1)
-        w = int(lens.max()) if lens.size else 0
-        out = np.zeros((self.L, w) + data.shape[2:], dtype=data.dtype)
-        lane_i, _ = np.nonzero(K)
-        pos = K.cumsum(axis=1) - 1
-        out[lane_i, pos[K]] = data[K]
+        lens = st.fill
+        w = int(lens.max())
         live = lens if mask is None else lens[mask]
-        if live.size and int(live.min()) == int(live.max()) == w:
-            return ArrVec(out, None)
-        return ArrVec(out, lens.astype(np.int64))
+        uniform = live.size and int(live.min()) == int(live.max()) == w
+        return _as_rows(st.out, w, None if uniform else lens)

@@ -16,7 +16,7 @@ workloads.
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import frontend as F
@@ -294,6 +294,133 @@ def build_pipeline(ops, sinks):
     return F.build(fn, [F.InputSpec("xs", T.Coll(T.INT), True)])
 
 
+# ---------------------------------------------------------------------------
+# Generated nests: every level is a multiloop over 0..size built from its
+# generator parts
+# ---------------------------------------------------------------------------
+
+DOUBLES = T.Coll(T.DOUBLE)
+
+NEST_REDUCERS = {"sum": lambda a, b: a + b,
+                 "sub": lambda a, b: a - b,
+                 "max": lambda a, b: F.fmax(a, b)}
+
+
+def nest_loop(size, kind, value, cond=None):
+    """``MultiLoop(size)`` with one Collect or Reduce generator."""
+    from repro.core.multiloop import MultiLoop, collect, reduce_gen
+    from repro.core.staging import emit
+    from repro.frontend.reps import _binary_block, _index_block, unwrap, wrap
+    vb = _index_block(value)
+    cb = None if cond is None else _index_block(cond)
+    if kind == "collect":
+        gen = collect(vb, cond=cb)
+    else:
+        gen = reduce_gen(vb, _binary_block(vb.result_type,
+                                           NEST_REDUCERS[kind]), cond=cb)
+    return wrap(emit(MultiLoop(unwrap(size), (gen,)), [kind])[0])
+
+
+NEST_CONDS = {None: None,
+              "pos": lambda e, j: e > 0.0,
+              "odd": lambda e, j: j % 2 == 1}
+
+
+def build_nest(levels, payload, top):
+    """``levels``: per nested level (size source, kind, cond), outermost
+    first. Size sources: ``ys`` (uniform), ``tri`` (the enclosing loop's
+    index mod 5, minus 1: triangular, and -1 is an empty loop) and
+    ``rows`` (a ragged input row picked by that index). ``payload``: the
+    innermost value — a double, a pair, a 2-wide row literal, an element
+    of a row computed by an outer nested Collect, or that whole row.
+    ``top``: a plain map, a generator cond, or an if/else whose branches
+    both hold the nest (masked outer lanes)."""
+
+    def fn(xs, ys, rows):
+        def level(k, i, x, j, e, row):
+            if k == len(levels):
+                s = e * 1.5 + x * 0.375 - j.to_double()
+                if payload == "pair":
+                    return F.pair(s, j)
+                if payload == "row":
+                    return F.array_lit([s, s * 2.0])
+                if payload == "outer":
+                    return row[j % ys.length()] + s
+                if payload == "whole":
+                    return row
+                return s
+            src, kind, cond = levels[k]
+            if src == "ys":
+                size, elem = ys.length(), lambda jj: ys[jj]
+            elif src == "tri":
+                size, elem = j % 5 - 1, lambda jj: jj.to_double()
+            else:
+                r = rows[j % rows.length()]
+                size, elem = r.length(), lambda jj: r[jj]
+            c = NEST_CONDS[cond]
+            return nest_loop(
+                size, kind,
+                lambda jj: level(k + 1, i, x, jj, elem(jj), row),
+                None if c is None else (lambda jj: c(elem(jj), jj)))
+
+        def body(i, x):
+            row = nest_loop(ys.length(), "collect",
+                            lambda jj: ys[jj] * x + 1.0)
+            return level(0, i, x, i, x, row)
+
+        def value(i):
+            x = xs[i]
+            if top == "branch":
+                return F.where(x > 0.0, lambda: body(i, x),
+                               lambda: body(i, -x))
+            return body(i, x)
+
+        return nest_loop(xs.length(), "collect", value,
+                         (lambda i: xs[i] > -1.0) if top == "cond" else None)
+
+    return F.build(fn, [F.InputSpec("xs", DOUBLES, True),
+                        F.InputSpec("ys", DOUBLES, True),
+                        F.InputSpec("rows", T.Coll(DOUBLES), True)])
+
+
+def normalize_nest(spec):
+    """Keep a drawn nest inside what the backend lays out rectangularly:
+    below a Reduce everything reduces to a double (no array reducers),
+    and a Collect nested in a Collect is uniform-sized without a cond
+    (its rows must share one length)."""
+    levels, payload, top = spec
+    out = []
+    reducing = False
+    for src, kind, cond in levels:
+        if reducing and kind == "collect":
+            kind = "sum"
+        if out and out[-1][1] == "collect" and kind == "collect":
+            src, cond = "ys", None
+        reducing = reducing or kind != "collect"
+        out.append((src, kind, cond))
+    if reducing:
+        payload = "scalar"
+    return out, payload, top
+
+
+_nest_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                         allow_infinity=False)
+
+nest_strategy = st.tuples(
+    st.lists(st.tuples(st.sampled_from(["ys", "tri", "rows"]),
+                       st.sampled_from(["collect", "sum", "sub", "max"]),
+                       st.sampled_from(list(NEST_CONDS))),
+             min_size=1, max_size=2),
+    st.sampled_from(["scalar", "pair", "row", "outer", "whole"]),
+    st.sampled_from(["map", "cond", "branch"])).map(normalize_nest)
+
+nest_data = st.fixed_dictionaries({
+    "xs": st.lists(_nest_floats, min_size=0, max_size=6),
+    "ys": st.lists(_nest_floats, min_size=1, max_size=5),
+    "rows": st.lists(st.lists(_nest_floats, max_size=6), min_size=1,
+                     max_size=4)})
+
+
 class TestPropertyDifferential:
     @given(pipeline_strategy, ints_data)
     @settings(**SETTINGS)
@@ -319,6 +446,97 @@ class TestPropertyDifferential:
                                    "distributed")
         inputs = compiled.prepare_inputs({"xs": data})
         run_both(compiled.program, inputs)
+
+    @given(nest_strategy, nest_data)
+    @settings(**dict(SETTINGS, max_examples=60, derandomize=True))
+    # a window with no trips next to one with rows; pairs two levels
+    # deep; a branch whose Collect kept nothing beside one that did
+    @example(([("ys", "collect", None), ("ys", "collect", None)], "scalar",
+              "cond"), {"xs": [0.0, -1.0], "ys": [0.0] * 4, "rows": [[]]})
+    @example(([("ys", "collect", None), ("ys", "collect", None)], "pair",
+              "map"), {"xs": [0.0], "ys": [0.0], "rows": [[]]})
+    @example(([("tri", "collect", "pos")], "pair", "branch"),
+             {"xs": [0.0, 0.0, 1.0, 0.0], "ys": [0.0], "rows": [[]]})
+    def test_backends_agree_on_generated_nests(self, spec, data):
+        # 2-3 loop levels: nested Collect/Reduce (incl. the non-associative
+        # sub) over uniform, triangular and ragged sizes, with nested
+        # conds, masked outer lanes, and struct/row-valued elements
+        levels, payload, top = spec
+        prog = build_nest(levels, payload, top)
+        ref_results, ref_stats = run_program(prog, data)
+        vec_results, vec_stats, fallbacks = run_program_numpy(prog, data)
+        assert fallbacks == [], [(f.loop, f.reason) for f in fallbacks]
+        assert_stats_equal(ref_stats, vec_stats)
+        # nested reduces fold in trip order: floats are exact, not just
+        # deep_eq-close
+        assert vec_results == ref_results
+
+
+class TestLaneBudget:
+    """A nest wider than ``NEST_LANE_BUDGET`` runs in windows of outer
+    lanes and chunks of trips; the result must not depend on the budget."""
+
+    @staticmethod
+    def program():
+        def fn(xs, rows):
+            def per_lane(i):
+                r = rows[i % rows.length()]
+                return F.pair(
+                    nest_loop(r.length(), "sub", lambda j: r[j] * xs[i]),
+                    nest_loop(r.length(), "collect",
+                              lambda j: nest_loop(j % 4, "sum",
+                                                  lambda k: r[k] + 0.5),
+                              lambda j: r[j] > 0.0))
+            return nest_loop(xs.length(), "collect", per_lane,
+                             lambda i: xs[i] != 0.0)
+        return F.build(fn, [F.InputSpec("xs", DOUBLES, True),
+                            F.InputSpec("rows", T.Coll(DOUBLES), True)])
+
+    def test_chunked_nest_is_identical(self, monkeypatch):
+        import random
+        from repro.backend import vectorize as V
+        rng = random.Random(11)
+        inputs = {
+            "xs": [rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(40)],
+            # row 1 alone is wider than the patched budget: its trips
+            # run in several chunks
+            "rows": [[rng.uniform(-2, 2) for _ in range(n)]
+                     for n in (3, 50, 0, 7, 1, 12)]}
+        prog = self.program()
+        ref_results, ref_stats = run_program(prog, inputs)
+        wide = run_program_numpy(prog, inputs)
+        budget = 8
+        assert sum(len(inputs["rows"][i % 6]) for i in range(40)) > budget
+
+        widths = []
+        init = V.LoopVectorizer.__init__
+
+        def recording(self, host, L, delta, outer=None, sel=None):
+            if outer is not None:
+                widths.append(L)
+            init(self, host, L, delta, outer, sel)
+
+        monkeypatch.setattr(V, "NEST_LANE_BUDGET", budget)
+        monkeypatch.setattr(V.LoopVectorizer, "__init__", recording)
+        narrow = run_program_numpy(prog, inputs)
+        assert wide[2] == narrow[2] == []
+        assert wide[0] == narrow[0] == ref_results
+        assert_stats_equal(ref_stats, wide[1])
+        assert_stats_equal(ref_stats, narrow[1])
+        assert len(widths) > 10 and max(widths) <= budget
+
+    @given(nest_strategy, nest_data)
+    @settings(**dict(SETTINGS, max_examples=30, derandomize=True))
+    def test_generated_nests_at_a_tiny_budget(self, spec, data):
+        from unittest import mock
+        from repro.backend import vectorize as V
+        prog = build_nest(*spec)
+        ref_results, ref_stats = run_program(prog, data)
+        with mock.patch.object(V, "NEST_LANE_BUDGET", 2):
+            vec_results, vec_stats, fallbacks = run_program_numpy(prog, data)
+        assert fallbacks == [], [(f.loop, f.reason) for f in fallbacks]
+        assert_stats_equal(ref_stats, vec_stats)
+        assert vec_results == ref_results
 
 
 # ---------------------------------------------------------------------------
